@@ -30,11 +30,9 @@ from .oracle import (
 )
 from .reducer import (
     ReductionOutcome,
-    RemovalOrder,
     TooLargeError,
     brute_force_minimal,
     reduce_test,
-    reduction_pass,
     verify_one_minimal,
 )
 from .metrics import (
@@ -95,11 +93,9 @@ __all__ = [
     "evaluate",
     "normalize_signature",
     "ReductionOutcome",
-    "RemovalOrder",
     "TooLargeError",
     "brute_force_minimal",
     "reduce_test",
-    "reduction_pass",
     "verify_one_minimal",
     "CountMismatchError",
     "EmptyCorpusError",

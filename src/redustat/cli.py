@@ -24,7 +24,7 @@ from pathlib import Path
 
 from .corpus import CorpusConfigError, load_corpus_config, run_corpus
 from .ingest import SchemaError, ingest_tree
-from .metrics import EmptyCorpusError, format_percent
+from .metrics import EmptyCorpusError, format_percent, parse_cell
 from .oracle import (
     MatchPolicy,
     OracleConfig,
@@ -194,8 +194,7 @@ def _read_columns(path: Path, columns: list[str]) -> dict[str, list[float | None
         table: dict[str, list[float | None]] = {c: [] for c in columns}
         for row in reader:
             for column in columns:
-                cell = (row[column] or "").strip().rstrip("%")
-                table[column].append(float(cell) if cell else None)
+                table[column].append(parse_cell(row[column] or ""))
     return table
 
 

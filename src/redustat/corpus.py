@@ -25,7 +25,6 @@ reduction reports (with the removal trace) land in
 from __future__ import annotations
 
 import json
-import tempfile
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
@@ -58,8 +57,7 @@ class CorpusEntry:
             return ast
         return parse_test(text, test_name=self.name, project=self.project)
 
-    def build_oracle(self, policy: MatchPolicy,
-                     scratch_dir: str | None = None) -> Oracle:
+    def build_oracle(self, policy: MatchPolicy) -> Oracle:
         spec = self.oracle_spec
         mode = spec.get("mode", "scripted")
         if mode == "scripted":
@@ -76,7 +74,6 @@ class CorpusEntry:
                 signature_pattern=spec.get("signature_pattern"),
                 match_policy=policy,
                 retries=spec.get("retries", 0),
-                scratch_dir=scratch_dir,
             )
         raise CorpusConfigError(f"entry {self.name!r}: unknown oracle mode {mode!r}")
 
@@ -149,12 +146,8 @@ class _EntryResult:
 
 def _run_entry(entry: CorpusEntry, policy: MatchPolicy) -> _EntryResult:
     try:
-        # Fresh scratch directory per entry: candidate files (and whatever
-        # the command writes next to them) never leak between entries.
-        with tempfile.TemporaryDirectory(prefix=f"redustat-{entry.name}-") as scratch:
-            ast = entry.load_ast()
-            oracle = entry.build_oracle(policy, scratch_dir=scratch)
-            outcome = reduce_test(ast, oracle)
+        ast = entry.load_ast()
+        outcome = reduce_test(ast, entry.build_oracle(policy))
         record = metrics_from_reduction(ast, outcome, project=entry.project)
         return _EntryResult(EntryStatus(entry.name, True), record,
                             outcome.to_report())

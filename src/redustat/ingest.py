@@ -51,13 +51,6 @@ def _require(mapping: Any, key: str, types: type | tuple, path: str) -> Any:
     return value
 
 
-def _int_field(mapping: dict, key: str, path: str) -> int:
-    value = _require(mapping, key, int, path)
-    if isinstance(value, bool):
-        raise SchemaError(f"field {key!r} has wrong type", f"{path}.{key}")
-    return value
-
-
 def ingest_tree(document: dict | str, project: str = "") -> TestCaseAst:
     """Build a :class:`TestCaseAst` from a tree document (dict or JSON text).
 
@@ -83,7 +76,7 @@ def ingest_tree(document: dict | str, project: str = "") -> TestCaseAst:
     parsed = {}
     for idx, raw in enumerate(raw_nodes):
         path = f"$.nodes[{idx}]"
-        node_id = _int_field(raw, "id", path)
+        node_id = _require(raw, "id", int, path)
         kind_name = _require(raw, "kind", str, path)
         has_children = _require(raw, "has_children", bool, path)
         span = _require(raw, "span", list, path)

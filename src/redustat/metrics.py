@@ -220,9 +220,9 @@ def write_records_csv(records: Sequence[MetricsRecord], path: str | Path) -> Non
     Path(path).write_text(records_to_csv(records), encoding="utf-8")
 
 
-def read_records_csv(text_or_path: str | Path,
+def read_records_csv(text: str,
                      derive_probabilities: bool = False) -> list[MetricsRecord]:
-    """Load metrics records from CSV.
+    """Load metrics records from CSV text.
 
     Fixture rows are carried verbatim, without cross-column consistency
     checks, because published tables are transcribed as printed, typos
@@ -231,10 +231,6 @@ def read_records_csv(text_or_path: str | Path,
     from the count columns at full precision (``antrs/ntn``, ``atrs/tn``)
     whenever the denominator is non-zero.
     """
-    if isinstance(text_or_path, Path) or "\n" not in str(text_or_path):
-        text = Path(text_or_path).read_text(encoding="utf-8")
-    else:
-        text = str(text_or_path)
     reader = csv.reader(io.StringIO(text))
     try:
         header = next(reader)
@@ -251,6 +247,9 @@ def read_records_csv(text_or_path: str | Path,
             raise CsvSchemaError(f"line {line_no}: expected "
                                  f"{len(CSV_COLUMNS)} cells, found {len(row)}")
         try:
+            percents = [parse_cell(row[i]) for i in (6, 8, 10, 11, 12)]
+            prs, pntrs, ptrs, prntrs, prtrs = (
+                None if value is None else value / 100.0 for value in percents)
             record = MetricsRecord(
                 test_name=row[0],
                 project=row[1],
@@ -258,13 +257,13 @@ def read_records_csv(text_or_path: str | Path,
                 ntn=int(row[3]),
                 tn=int(row[4]),
                 ars=int(row[5]),
-                prs=_parse_percent(row[6]) or 0.0,
+                prs=prs or 0.0,
                 antrs=int(row[7]),
-                pntrs=_parse_percent(row[8]) or 0.0,
+                pntrs=pntrs or 0.0,
                 atrs=int(row[9]),
-                ptrs=_parse_percent(row[10]) or 0.0,
-                prntrs=_parse_percent(row[11]),
-                prtrs=_parse_percent(row[12]),
+                ptrs=ptrs or 0.0,
+                prntrs=prntrs,
+                prtrs=prtrs,
             )
         except ValueError as exc:
             raise CsvSchemaError(f"line {line_no}: {exc}") from None
@@ -284,11 +283,10 @@ def derive_record_probabilities(record: MetricsRecord) -> MetricsRecord:
     return replace(record, **updates) if updates else record
 
 
-def _parse_percent(cell: str) -> float | None:
+def parse_cell(cell: str) -> float | None:
+    """A numeric cell as printed: trailing ``%`` dropped, empty is ``None``."""
     cell = cell.strip().rstrip("%")
-    if not cell:
-        return None
-    return float(cell) / 100.0
+    return float(cell) if cell else None
 
 
 def summary_to_csv(summary: MeanSummary) -> str:

@@ -96,10 +96,6 @@ class StatementNode:
     def category(self) -> Category:
         return Category.TREE if self.kind in TREE_KINDS else Category.NON_TREE
 
-    @property
-    def is_leaf_kind(self) -> bool:
-        return self.kind not in TREE_KINDS
-
 
 @dataclass(frozen=True)
 class TestCaseAst:
@@ -212,7 +208,7 @@ def _validate(ast: TestCaseAst) -> None:
         start, end = node.span
         if not (0 <= start <= end <= len(ast.source)):
             raise ModelError(f"node {node.id}: span {node.span} outside source")
-        if node.is_leaf_kind and node.children:
+        if node.category is Category.NON_TREE and node.children:
             raise ModelError(f"node {node.id}: {node.kind.value} is a leaf kind "
                              f"but has children")
         for child_id in node.children:

@@ -1,11 +1,15 @@
 """Failure oracles: decide whether a candidate test still fails the same way.
 
-Two oracle families:
+An oracle is any object with a ``match_policy`` and a method
+``verdict(retained, ast) -> OracleVerdict`` that judges the candidate keeping
+the ``retained`` statement ids of ``ast``. :func:`evaluate` is the single call
+point; the reducer never looks at an oracle's type. Two oracles ship:
 
-- :class:`ExternalCommandOracle` writes the candidate source to a file,
-  substitutes its path into a command template, and classifies the run by
-  exit code plus an optional failure-fingerprint regex. This is the bridge
-  to real build/test tooling.
+- :class:`OracleConfig` renders the candidate, writes it to a file in a fresh
+  temporary directory, substitutes its path into a command template, and
+  classifies the run by exit code plus an optional failure-fingerprint regex.
+  The directory, with anything the command wrote next to the candidate, is
+  removed when the run ends. This is the bridge to real build/test tooling.
 - :class:`ScriptedOracle` decides directly on retained statement-id sets,
   giving cheap deterministic ground truth for experiments and tests.
 
@@ -17,9 +21,8 @@ that cannot even be attempted aborts the reduction instead of being treated
 as "not failing".
 
 Verdict evaluation blocks. Distinct oracle instances may run concurrently in
-different working directories, but one ExternalCommandOracle config must not
-be invoked concurrently with itself: the command typically mutates its
-workdir.
+different working directories, but one OracleConfig must not be invoked
+concurrently with itself: the command typically mutates its workdir.
 """
 
 from __future__ import annotations
@@ -32,7 +35,9 @@ import tempfile
 import time
 from dataclasses import dataclass
 from enum import Enum
-from typing import Union
+from typing import Protocol
+
+from .model import TestCaseAst, render
 
 
 class VerdictStatus(Enum):
@@ -52,6 +57,9 @@ SCRIPTED_SIGNATURE = "scripted"
 
 #: Environment variable pointing the command under test at the candidate file.
 CANDIDATE_ENV_VAR = "REDUSTAT_CANDIDATE"
+
+#: File name of the candidate inside its per-run directory.
+CANDIDATE_FILE = "candidate.java"
 
 
 class OracleSpawnError(RuntimeError):
@@ -81,6 +89,15 @@ class OracleVerdict:
                              "non-empty signature")
 
 
+class Oracle(Protocol):
+    """What the reducer needs of an oracle."""
+
+    match_policy: MatchPolicy
+
+    def verdict(self, retained: frozenset[int], ast: TestCaseAst) -> OracleVerdict:
+        ...
+
+
 @dataclass(frozen=True)
 class OracleConfig:
     """Configuration of an external-command oracle.
@@ -97,8 +114,6 @@ class OracleConfig:
     signature_pattern: str | None = None
     match_policy: MatchPolicy = MatchPolicy.SAME_SIGNATURE
     retries: int = 0
-    candidate_suffix: str = ".java"
-    scratch_dir: str | None = None  # candidate files land here when set
 
     def __post_init__(self) -> None:
         if self.timeout_ms <= 0:
@@ -106,6 +121,17 @@ class OracleConfig:
         if self.match_policy is MatchPolicy.SAME_SIGNATURE and not self.signature_pattern:
             raise ValueError("signature_pattern is required under the "
                              "SameSignature policy")
+
+    def verdict(self, retained: frozenset[int], ast: TestCaseAst) -> OracleVerdict:
+        source_text = render(ast, retained)
+        for _ in range(1 + max(self.retries, 0)):
+            verdict = _run_external_once(self, source_text)
+            # Retries (default 0) only re-attempt Invalid verdicts: those are
+            # the lossy outcome for the reducer, and the knob exists for
+            # flaky infra.
+            if verdict.status is not VerdictStatus.INVALID:
+                break
+        return verdict
 
 
 @dataclass(frozen=True)
@@ -134,10 +160,6 @@ class ScriptedOracle:
         if any(not fs for fs in self.failure_sets):
             raise ValueError("failure sets must be non-empty")
 
-    @property
-    def monotone(self) -> bool:
-        return not self.blockers
-
     def fails(self, retained: frozenset[int]) -> bool:
         if self.blockers:
             present = len(self.blockers & retained)
@@ -145,61 +167,39 @@ class ScriptedOracle:
                 return False
         return any(fs <= retained for fs in self.failure_sets)
 
-
-Oracle = Union[OracleConfig, ScriptedOracle]
-
-
-def evaluate(oracle: Oracle, candidate) -> OracleVerdict:
-    """Evaluate one candidate.
-
-    For a :class:`ScriptedOracle`, ``candidate`` is the retained id-set; for
-    an :class:`OracleConfig`, it is the rendered candidate source text.
-    """
-    if isinstance(oracle, ScriptedOracle):
-        retained = frozenset(candidate)
-        if oracle.fails(retained):
+    def verdict(self, retained: frozenset[int], ast: TestCaseAst) -> OracleVerdict:
+        if self.fails(retained):
             return OracleVerdict(VerdictStatus.FAIL, SCRIPTED_SIGNATURE)
         return OracleVerdict(VerdictStatus.PASS)
-    return _run_external(oracle, candidate)
 
 
-def baseline_signature(oracle: Oracle, original) -> str:
+def evaluate(oracle: Oracle, retained: frozenset[int],
+             ast: TestCaseAst) -> OracleVerdict:
+    """Evaluate the candidate that keeps the ``retained`` statements of ``ast``."""
+    return oracle.verdict(retained, ast)
+
+
+def baseline_signature(oracle: Oracle, original: TestCaseAst) -> str:
     """Signature of the unreduced test's failure.
 
-    ``original`` is a :class:`~redustat.model.TestCaseAst`. Raises
-    :class:`OriginalDoesNotFailError` when the full test passes or is
+    Raises :class:`OriginalDoesNotFailError` when the full test passes or is
     Invalid, in which case reduction must not start.
     """
-    if isinstance(oracle, ScriptedOracle):
-        verdict = evaluate(oracle, original.all_ids())
-    else:
-        verdict = evaluate(oracle, original.source)
+    verdict = evaluate(oracle, original.all_ids(), original)
     if verdict.status is not VerdictStatus.FAIL:
         raise OriginalDoesNotFailError(verdict)
     return verdict.signature
 
 
-def _run_external(config: OracleConfig, source_text: str) -> OracleVerdict:
-    attempts = 1 + max(config.retries, 0)
-    verdict = None
-    for _ in range(attempts):
-        verdict = _run_external_once(config, source_text)
-        # Retries (default 0) only re-attempt Invalid verdicts: those are the
-        # lossy outcome for the reducer, and the knob exists for flaky infra.
-        if verdict.status is not VerdictStatus.INVALID:
-            return verdict
-    return verdict
-
-
 def _run_external_once(config: OracleConfig, source_text: str) -> OracleVerdict:
     started = time.monotonic()
-    with tempfile.NamedTemporaryFile(
-        "w", suffix=config.candidate_suffix, delete=False, encoding="utf-8",
-        dir=config.scratch_dir,
-    ) as handle:
-        handle.write(source_text)
-        candidate_path = handle.name
-    try:
+    # A fresh directory per run: the candidate and whatever the command
+    # writes next to it are removed when the run ends.
+    with tempfile.TemporaryDirectory(prefix="redustat-",
+                                     ignore_cleanup_errors=True) as scratch:
+        candidate_path = os.path.join(scratch, CANDIDATE_FILE)
+        with open(candidate_path, "w", encoding="utf-8") as handle:
+            handle.write(source_text)
         argv = [
             part.replace("{candidate}", candidate_path)
             for part in shlex.split(config.command_template)
@@ -212,6 +212,7 @@ def _run_external_once(config: OracleConfig, source_text: str) -> OracleVerdict:
                 env=env,
                 capture_output=True,
                 text=True,
+                errors="replace",
                 timeout=config.timeout_ms / 1000.0,
             )
         except subprocess.TimeoutExpired:
@@ -220,19 +221,14 @@ def _run_external_once(config: OracleConfig, source_text: str) -> OracleVerdict:
         except OSError as exc:
             raise OracleSpawnError(f"cannot run oracle command {argv!r}: {exc}") from exc
 
-        duration = _elapsed_ms(started)
-        if proc.returncode == 0:
-            return OracleVerdict(VerdictStatus.PASS, duration_ms=duration)
-        if proc.returncode in config.fail_exit_codes:
-            signature = _extract_signature(config, proc.stdout + proc.stderr,
-                                           proc.returncode)
-            return OracleVerdict(VerdictStatus.FAIL, signature, duration)
-        return OracleVerdict(VerdictStatus.INVALID, duration_ms=duration)
-    finally:
-        try:
-            os.unlink(candidate_path)
-        except OSError:
-            pass
+    duration = _elapsed_ms(started)
+    if proc.returncode == 0:
+        return OracleVerdict(VerdictStatus.PASS, duration_ms=duration)
+    if proc.returncode in config.fail_exit_codes:
+        signature = _extract_signature(config, proc.stdout + proc.stderr,
+                                       proc.returncode)
+        return OracleVerdict(VerdictStatus.FAIL, signature, duration)
+    return OracleVerdict(VerdictStatus.INVALID, duration_ms=duration)
 
 
 def _elapsed_ms(started: float) -> float:
@@ -264,8 +260,9 @@ def normalize_signature(text: str) -> str:
     Reduction legitimately changes line numbers, timings, temp-file paths
     and addresses, so those are blanked out.
     """
-    text = _ADDRESS_RE.sub("<addr>", text)
+    # Paths first: a temp path may itself contain "0x" plus hex letters.
     text = _PATH_RE.sub("<path>", text)
+    text = _ADDRESS_RE.sub("<addr>", text)
     text = _LINE_RE.sub("<line>", text)
     text = _DURATION_RE.sub("<dur>", text)
     return " ".join(text.split())
@@ -279,7 +276,3 @@ def verdict_accepted(verdict: OracleVerdict, baseline: str,
     if policy is MatchPolicy.ANY_FAILURE:
         return True
     return verdict.signature == baseline
-
-
-def oracle_policy(oracle: Oracle) -> MatchPolicy:
-    return oracle.match_policy

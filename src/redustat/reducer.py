@@ -19,26 +19,17 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from enum import Enum
 from itertools import combinations
 
 from .model import Category, TestCaseAst, render
 from .oracle import (
-    MatchPolicy,
     Oracle,
-    OracleConfig,
     OracleVerdict,
-    ScriptedOracle,
     VerdictStatus,
     baseline_signature,
     evaluate,
     verdict_accepted,
 )
-
-
-class RemovalOrder(Enum):
-    SUBTREES_FIRST = "subtrees-first"
-    LEAVES_FIRST = "leaves-first"
 
 
 class TooLargeError(ValueError):
@@ -94,28 +85,25 @@ class ReductionOutcome:
 class _Session:
     """Shared state for one reduction: oracle plumbing and counters."""
 
-    def __init__(self, ast: TestCaseAst, oracle: Oracle, baseline: str,
-                 policy: MatchPolicy):
+    def __init__(self, ast: TestCaseAst, oracle: Oracle, baseline: str):
         self.ast = ast
         self.oracle = oracle
         self.baseline = baseline
-        self.policy = policy
+        self.policy = oracle.match_policy
         self.calls = 0
         self.trace: list[TraceEntry] = []
 
     def candidate_verdict(self, retained: frozenset[int]) -> OracleVerdict:
         self.calls += 1
-        if isinstance(self.oracle, ScriptedOracle):
-            return evaluate(self.oracle, retained)
-        return evaluate(self.oracle, render(self.ast, retained))
+        return evaluate(self.oracle, retained, self.ast)
 
     def accepts(self, retained: frozenset[int]) -> tuple[bool, OracleVerdict]:
         verdict = self.candidate_verdict(retained)
         return verdict_accepted(verdict, self.baseline, self.policy), verdict
 
 
-def _sweep(session: _Session, retained: frozenset[int],
-           order: RemovalOrder) -> tuple[frozenset[int], bool]:
+def _sweep(session: _Session,
+           retained: frozenset[int]) -> tuple[frozenset[int], bool]:
     ast = session.ast
     tree_ids = [i for i in retained if ast.node(i).category is Category.TREE]
     leaf_ids = [i for i in retained if ast.node(i).category is Category.NON_TREE]
@@ -125,13 +113,9 @@ def _sweep(session: _Session, retained: frozenset[int],
 
     tree_ids.sort(key=by_start_desc)
     leaf_ids.sort(key=by_start_desc)
-    if order is RemovalOrder.SUBTREES_FIRST:
-        candidates = tree_ids + leaf_ids
-    else:
-        candidates = leaf_ids + tree_ids
 
     changed = False
-    for node_id in candidates:
+    for node_id in tree_ids + leaf_ids:
         if node_id not in retained:
             continue  # removed along with an earlier accepted subtree
         attempt = retained - ast.subtree_ids(node_id)
@@ -143,21 +127,6 @@ def _sweep(session: _Session, retained: frozenset[int],
     return retained, changed
 
 
-def reduction_pass(ast: TestCaseAst, oracle: Oracle, retained: frozenset[int],
-                   order: RemovalOrder = RemovalOrder.SUBTREES_FIRST,
-                   baseline: str | None = None) -> tuple[frozenset[int], bool]:
-    """One sweep of the fixpoint loop over an already-failing retained set.
-
-    Attempts removal of each retained subtree once, in the given order, and
-    returns the shrunk set plus whether anything was removed. The result is
-    still failing and ancestor-closed.
-    """
-    if baseline is None:
-        baseline = baseline_signature(oracle, ast)
-    session = _Session(ast, oracle, baseline, _policy_of(oracle))
-    return _sweep(session, frozenset(retained), order)
-
-
 def reduce_test(ast: TestCaseAst, oracle: Oracle) -> ReductionOutcome:
     """Reduce a failing test to a 1-minimal set of statements.
 
@@ -167,14 +136,14 @@ def reduce_test(ast: TestCaseAst, oracle: Oracle) -> ReductionOutcome:
     """
     started = time.monotonic()
     baseline = baseline_signature(oracle, ast)
-    session = _Session(ast, oracle, baseline, _policy_of(oracle))
+    session = _Session(ast, oracle, baseline)
     session.calls += 1  # the baseline evaluation above
 
     retained = ast.all_ids()
     passes = 0
     while True:
         passes += 1
-        retained, changed = _sweep(session, retained, RemovalOrder.SUBTREES_FIRST)
+        retained, changed = _sweep(session, retained)
         if not changed:
             break
 
@@ -201,7 +170,7 @@ def verify_one_minimal(ast: TestCaseAst, oracle: Oracle,
     """Post-hoc 1-minimality check: every single-subtree removal must not fail."""
     if baseline is None:
         baseline = baseline_signature(oracle, ast)
-    session = _Session(ast, oracle, baseline, _policy_of(oracle))
+    session = _Session(ast, oracle, baseline)
     for node_id in retained:
         ok, _ = session.accepts(retained - ast.subtree_ids(node_id))
         if ok:
@@ -226,7 +195,7 @@ def brute_force_minimal(ast: TestCaseAst, oracle: Oracle) -> frozenset[int]:
         raise TooLargeError(
             f"{n} statements exceed the exhaustive bound of {BRUTE_FORCE_BOUND}")
     baseline = baseline_signature(oracle, ast)
-    session = _Session(ast, oracle, baseline, _policy_of(oracle))
+    session = _Session(ast, oracle, baseline)
     ids = list(range(n))
     for size in range(n + 1):
         for combo in combinations(ids, size):
@@ -238,9 +207,3 @@ def brute_force_minimal(ast: TestCaseAst, oracle: Oracle) -> frozenset[int]:
                 return subset
     # The full set fails by precondition, so this is unreachable.
     raise AssertionError("no failing subset found despite failing baseline")
-
-
-def _policy_of(oracle: Oracle) -> MatchPolicy:
-    if isinstance(oracle, (ScriptedOracle, OracleConfig)):
-        return oracle.match_policy
-    return MatchPolicy.ANY_FAILURE

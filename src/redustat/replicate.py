@@ -18,7 +18,7 @@ from __future__ import annotations
 from importlib import resources
 from pathlib import Path
 
-from .metrics import MetricsRecord, read_records_csv
+from .metrics import MetricsRecord, parse_cell, read_records_csv
 from .reports import ReportBundle, assemble_bundle
 
 #: Fixture identifiers accepted by ``replicate``: live corpus tables.
@@ -32,17 +32,20 @@ def fixture_text(filename: str) -> str:
     return (resources.files("redustat") / "data" / filename).read_text("utf-8")
 
 
-def load_fixture_records(table: str,
-                         fixture_path: str | Path | None = None) -> list[MetricsRecord]:
-    """Records of Table I or II, probability columns derived from counts."""
+def _table_source(table: str, fixture_path: str | Path | None) -> str:
     if table not in FIXTURE_TABLES:
         raise ValueError(f"unknown table {table!r}; expected one of "
                          f"{sorted(FIXTURE_TABLES)}")
     if fixture_path is not None:
-        text = Path(fixture_path).read_text(encoding="utf-8")
-    else:
-        text = fixture_text(FIXTURE_TABLES[table])
-    return read_records_csv(text, derive_probabilities=True)
+        return Path(fixture_path).read_text(encoding="utf-8")
+    return fixture_text(FIXTURE_TABLES[table])
+
+
+def load_fixture_records(table: str,
+                         fixture_path: str | Path | None = None) -> list[MetricsRecord]:
+    """Records of Table I or II, probability columns derived from counts."""
+    return read_records_csv(_table_source(table, fixture_path),
+                            derive_probabilities=True)
 
 
 def derive_probability_table(records: list[MetricsRecord]) -> list[tuple[str, float, float]]:
@@ -67,21 +70,16 @@ def published_probability_rows(table: str) -> list[tuple[str, float, float]]:
         if not line.strip():
             continue
         name, prntrs, prtrs = line.split(",")
-        rows.append((name, float(prntrs) / 100.0, float(prtrs) / 100.0))
+        rows.append((name, parse_cell(prntrs) / 100.0, parse_cell(prtrs) / 100.0))
     return rows
 
 
 def replicate_from_fixtures(table: str,
                             fixture_path: str | Path | None = None) -> ReportBundle:
     """Recompute means, derived probability tables and statistics for a table."""
-    records = load_fixture_records(table, fixture_path)
-    if fixture_path is not None:
-        source = Path(fixture_path).read_text(encoding="utf-8")
-    else:
-        source = fixture_text(FIXTURE_TABLES[table])
-    bundle = assemble_bundle(
+    source = _table_source(table, fixture_path)
+    return assemble_bundle(
         corpus_name=f"fixture-table-{table}",
-        records=records,
+        records=read_records_csv(source, derive_probabilities=True),
         provenance_source=source,
     )
-    return bundle

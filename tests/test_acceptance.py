@@ -154,7 +154,7 @@ def test_criterion_7_reducer_property_suite():
         cause = frozenset(rng.sample(ids, rng.randint(1, min(3, len(ids)))))
         oracle = ScriptedOracle(failure_sets=(cause,))
         outcome = reduce_test(ast, oracle)
-        assert evaluate(oracle, outcome.retained).status is VerdictStatus.FAIL
+        assert evaluate(oracle, outcome.retained, ast).status is VerdictStatus.FAIL
         assert verify_one_minimal(ast, oracle, outcome.retained,
                                   baseline="scripted")
         assert len(outcome.retained) == len(brute_force_minimal(ast, oracle))
@@ -170,7 +170,7 @@ def test_criterion_7_reducer_property_suite():
         blockers = frozenset(rng.sample(ids, rng.randint(2, min(4, len(ids)))))
         oracle = ScriptedOracle(failure_sets=(cause,), blockers=blockers)
         outcome = reduce_test(ast, oracle)
-        assert evaluate(oracle, outcome.retained).status is VerdictStatus.FAIL
+        assert evaluate(oracle, outcome.retained, ast).status is VerdictStatus.FAIL
         assert verify_one_minimal(ast, oracle, outcome.retained,
                                   baseline="scripted")
         non_monotone_checked += 1

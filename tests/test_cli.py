@@ -72,6 +72,14 @@ def test_reduce_accepts_tree_documents(tmp_path, failing_test):
     assert report["retained"] == [1]
 
 
+def test_reduce_with_non_utf8_test_output(tmp_path):
+    test = tmp_path / "T.java"
+    test.write_text("a();\nb();\n", encoding="utf-8")
+    oracle_cmd = r"""sh -c "printf '\377 java.lang.AssertionError\n'; exit 1" """
+    assert main(["reduce", str(test), "--oracle-cmd", oracle_cmd,
+                 "--policy", "any", "--out", str(tmp_path / "r.json")]) == 0
+
+
 def test_corpus_command(tmp_path, capsys):
     out = tmp_path / "bundle"
     code = main(["corpus", str(SYNTHETIC / "corpus.json"),

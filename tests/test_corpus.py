@@ -9,6 +9,7 @@ from redustat.corpus import (
     run_corpus,
 )
 from redustat.metrics import EmptyCorpusError
+from redustat.reducer import reduce_test
 
 SYNTHETIC = Path(__file__).resolve().parent.parent / "src" / "redustat" / "data" / "synthetic"
 
@@ -140,15 +141,23 @@ def test_tree_document_entries_are_supported(tmp_path):
     assert bundle.records[0].ars == 1
 
 
-def test_command_oracle_entries_run_in_scratch_dirs(tmp_path):
+def test_command_oracle_entries_run_in_scratch_dirs(tmp_path, monkeypatch):
     import sys
+    import tempfile
     import textwrap
 
+    scratch = tmp_path / "scratch"
+    scratch.mkdir()
+    monkeypatch.setattr(tempfile, "tempdir", str(scratch))
     script = tmp_path / "oracle.py"
     script.write_text(textwrap.dedent(
         """\
-        import sys
+        import os, sys
         text = open(sys.argv[1], encoding="utf-8").read()
+        # like a compiler, leave a build product next to the candidate
+        out = os.path.join(os.path.dirname(os.environ["REDUSTAT_CANDIDATE"]),
+                           "Out.class")
+        open(out, "w").close()
         if "explode();" in text:
             print("AssertionError: boom")
             sys.exit(1)
@@ -171,9 +180,15 @@ def test_command_oracle_entries_run_in_scratch_dirs(tmp_path):
         },
     }]
     config = load_corpus_config(write_corpus(tmp_path, entries))
+    (cmd,) = config.entries
+    outcome = reduce_test(cmd.load_ast(), cmd.build_oracle(config.policy))
+    assert len(outcome.removed) == 2
+    assert list(scratch.iterdir()) == []
+
     bundle = run_corpus(config, write=False)
     assert bundle.entry_errors == 0
     assert bundle.records[0].ars == 2
+    assert list(scratch.iterdir()) == []
 
 
 def test_shipped_synthetic_corpus_matches_pinned_expectations(tmp_path):

@@ -74,6 +74,12 @@ def test_missing_field_reports_path():
     assert "has_children" in str(info.value)
 
 
+def test_boolean_node_id_is_schema_error():
+    with pytest.raises(SchemaError) as info:
+        ingest_tree(doc([node(True, "ExpressionStmt", (0, 4))], [0]))
+    assert "$.nodes[0].id" in str(info.value)
+
+
 def test_known_leaf_kind_with_children_is_schema_error():
     bad = doc(
         [node(0, "Return", (0, 20), children=(1,)),

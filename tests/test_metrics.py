@@ -153,6 +153,10 @@ def test_csv_rejects_wrong_header():
         read_records_csv("foo,bar\n1,2\n")
 
 
+def test_header_only_csv_text_has_no_records():
+    assert read_records_csv(",".join(CSV_COLUMNS)) == []
+
+
 def test_csv_tolerates_inconsistent_published_rows():
     # transcribed-verbatim rows may violate ars == antrs + atrs
     text = (",".join(CSV_COLUMNS) + "\n"

@@ -22,28 +22,38 @@ from redustat.oracle import (
 from redustat.parser import parse_test
 
 
+def scripted_verdict(oracle, *ids):
+    """The scripted oracle ignores the test itself and judges only ``ids``."""
+    return evaluate(oracle, frozenset(ids), None)
+
+
+def command_verdict(oracle, source):
+    ast = parse_test(source)
+    return evaluate(oracle, ast.all_ids(), ast)
+
+
 # -- scripted oracles ---------------------------------------------------------
 
 
 def test_superset_of_failure_set_fails():
     oracle = ScriptedOracle(failure_sets=(frozenset({3}),))
-    assert evaluate(oracle, {0, 1, 2, 3}).status is VerdictStatus.FAIL
+    assert scripted_verdict(oracle, 0, 1, 2, 3).status is VerdictStatus.FAIL
 
 
 def test_missing_failure_set_passes():
     oracle = ScriptedOracle(failure_sets=(frozenset({3}),))
-    assert evaluate(oracle, {0, 1, 2}).status is VerdictStatus.PASS
+    assert scripted_verdict(oracle, 0, 1, 2).status is VerdictStatus.PASS
 
 
 def test_scripted_signature_is_constant():
     oracle = ScriptedOracle(failure_sets=(frozenset({0}),))
-    assert evaluate(oracle, {0}).signature == SCRIPTED_SIGNATURE
+    assert scripted_verdict(oracle, 0).signature == SCRIPTED_SIGNATURE
 
 
 def test_any_failure_set_suffices():
     oracle = ScriptedOracle(failure_sets=(frozenset({0, 1}), frozenset({4})))
-    assert evaluate(oracle, {4}).status is VerdictStatus.FAIL
-    assert evaluate(oracle, {0}).status is VerdictStatus.PASS
+    assert scripted_verdict(oracle, 4).status is VerdictStatus.FAIL
+    assert scripted_verdict(oracle, 0).status is VerdictStatus.PASS
 
 
 def test_empty_failure_set_rejected():
@@ -51,12 +61,6 @@ def test_empty_failure_set_rejected():
         ScriptedOracle(failure_sets=(frozenset(),))
     with pytest.raises(ValueError):
         ScriptedOracle(failure_sets=())
-
-
-def test_monotone_flag_tracks_blockers():
-    assert ScriptedOracle(failure_sets=(frozenset({1}),)).monotone
-    assert not ScriptedOracle(failure_sets=(frozenset({1}),),
-                              blockers=frozenset({2, 3})).monotone
 
 
 def test_monotonicity_property_without_blockers():
@@ -67,18 +71,18 @@ def test_monotonicity_property_without_blockers():
             frozenset(rng.sample(universe, rng.randint(1, 3))),))
         smaller = frozenset(i for i in universe if rng.random() < 0.5)
         larger = smaller | frozenset(i for i in universe if rng.random() < 0.5)
-        if evaluate(oracle, smaller).status is VerdictStatus.FAIL:
-            assert evaluate(oracle, larger).status is VerdictStatus.FAIL
+        if evaluate(oracle, smaller, None).status is VerdictStatus.FAIL:
+            assert evaluate(oracle, larger, None).status is VerdictStatus.FAIL
 
 
 def test_blockers_make_the_oracle_non_monotone():
     oracle = ScriptedOracle(failure_sets=(frozenset({0}),),
                             blockers=frozenset({4, 5}))
-    assert evaluate(oracle, {0}).status is VerdictStatus.FAIL
-    assert evaluate(oracle, {0, 4}).status is VerdictStatus.PASS  # partial blockers
-    assert evaluate(oracle, {0, 4, 5}).status is VerdictStatus.FAIL
+    assert scripted_verdict(oracle, 0).status is VerdictStatus.FAIL
+    assert scripted_verdict(oracle, 0, 4).status is VerdictStatus.PASS  # partial blockers
+    assert scripted_verdict(oracle, 0, 4, 5).status is VerdictStatus.FAIL
     # the unreduced test (all blockers present) fails, so reduction can start
-    assert evaluate(oracle, {0, 1, 2, 3, 4, 5}).status is VerdictStatus.FAIL
+    assert scripted_verdict(oracle, 0, 1, 2, 3, 4, 5).status is VerdictStatus.FAIL
 
 
 def test_baseline_signature_scripted(flat_five):
@@ -136,7 +140,7 @@ def command_oracle(tmp_path):
 
 
 def test_command_failure_with_extracted_signature(command_oracle):
-    verdict = evaluate(command_oracle(), "setup();\nexplode();\n")
+    verdict = command_verdict(command_oracle(), "setup();\nexplode();\n")
     assert verdict.status is VerdictStatus.FAIL
     assert verdict.signature.startswith("AssertionError")
     assert "42" not in verdict.signature  # line numbers are normalized away
@@ -144,7 +148,7 @@ def test_command_failure_with_extracted_signature(command_oracle):
 
 
 def test_command_pass(command_oracle):
-    verdict = evaluate(command_oracle(), "setup();\n")
+    verdict = command_verdict(command_oracle(), "setup();\n")
     assert verdict.status is VerdictStatus.PASS
     assert verdict.signature == ""
 
@@ -157,7 +161,7 @@ def test_unexpected_exit_code_is_invalid(tmp_path):
         workdir=str(tmp_path),
         match_policy=MatchPolicy.ANY_FAILURE,
     )
-    assert evaluate(config, "x();").status is VerdictStatus.INVALID
+    assert command_verdict(config, "x();").status is VerdictStatus.INVALID
 
 
 def test_timeout_is_invalid(tmp_path):
@@ -169,7 +173,7 @@ def test_timeout_is_invalid(tmp_path):
         timeout_ms=200,
         match_policy=MatchPolicy.ANY_FAILURE,
     )
-    assert evaluate(config, "x();").status is VerdictStatus.INVALID
+    assert command_verdict(config, "x();").status is VerdictStatus.INVALID
 
 
 def test_spawn_failure_raises(tmp_path):
@@ -179,7 +183,7 @@ def test_spawn_failure_raises(tmp_path):
         match_policy=MatchPolicy.ANY_FAILURE,
     )
     with pytest.raises(OracleSpawnError):
-        evaluate(config, "x();")
+        command_verdict(config, "x();")
 
 
 def test_fail_without_signature_match_uses_exit_code(tmp_path):
@@ -191,7 +195,7 @@ def test_fail_without_signature_match_uses_exit_code(tmp_path):
         signature_pattern=r"AssertionError[^\n]*",
         match_policy=MatchPolicy.SAME_SIGNATURE,
     )
-    verdict = evaluate(config, "x();")
+    verdict = command_verdict(config, "x();")
     assert verdict.status is VerdictStatus.FAIL
     assert verdict.signature == "exit:1"
 
@@ -210,12 +214,24 @@ def test_shipped_fixture_oracle_script(tmp_path):
         signature_pattern=r"AssertionError[^\n]*",
         match_policy=MatchPolicy.SAME_SIGNATURE,
     )
-    failing = evaluate(config, "setup();\nexplode();\n")
+    failing = command_verdict(config, "setup();\nexplode();\n")
     assert failing.status is VerdictStatus.FAIL
     # path, line number and duration are normalized out of the fingerprint
     assert failing.signature == ("AssertionError: expected:<0> but was:<1> "
                                  "at <path><line> after <dur>")
-    assert evaluate(config, "setup();\n").status is VerdictStatus.PASS
+    assert command_verdict(config, "setup();\n").status is VerdictStatus.PASS
+
+
+def test_non_utf8_output_still_gives_a_verdict(tmp_path):
+    config = OracleConfig(
+        command_template=r"""sh -c "printf '\377 java.lang.AssertionError\n'; exit 1" """,
+        workdir=str(tmp_path),
+        signature_pattern=r"\w+\.\w+\.AssertionError",
+        match_policy=MatchPolicy.SAME_SIGNATURE,
+    )
+    verdict = command_verdict(config, "x();")
+    assert verdict.status is VerdictStatus.FAIL
+    assert verdict.signature == "java.lang.AssertionError"
 
 
 def test_config_validation():
@@ -244,6 +260,13 @@ def test_normalization_makes_line_shifts_equal():
     a = normalize_signature("AssertionError: boom at /work/a/T.java:10")
     b = normalize_signature("AssertionError: boom at /tmp/xyz/T2.java:3")
     assert a == b
+
+
+def test_normalize_blanks_paths_before_addresses():
+    # a temp directory name can itself contain "0x" plus hex letters
+    assert (normalize_signature("AssertionError at /tmp/redustat-0xbe12/candidate.java:7")
+            == "AssertionError at <path><line>")
+    assert normalize_signature("Foo@0x7ffe12") == "Foo@<addr>"
 
 
 def test_same_signature_policy():

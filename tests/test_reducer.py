@@ -11,16 +11,13 @@ from redustat.oracle import (
     OriginalDoesNotFailError,
     ScriptedOracle,
     VerdictStatus,
-    baseline_signature,
     evaluate,
 )
 from redustat.parser import parse_test, token_texts
 from redustat.reducer import (
-    RemovalOrder,
     TooLargeError,
     brute_force_minimal,
     reduce_test,
-    reduction_pass,
     verify_one_minimal,
 )
 
@@ -37,7 +34,8 @@ def test_flat_singleton_cause(flat_five):
     assert outcome.retained == {3}
     assert outcome.removed == {0, 1, 2, 4}
     assert outcome.removed_ntn == 4 and outcome.removed_tn == 0
-    assert evaluate(scripted({3}), outcome.retained).status is VerdictStatus.FAIL
+    assert evaluate(scripted({3}), outcome.retained,
+                    flat_five).status is VerdictStatus.FAIL
 
 
 def test_ancestor_must_stay_retained():
@@ -97,65 +95,31 @@ def test_original_must_fail(flat_five):
 
 
 def test_pass_on_one_minimal_set_is_fixpoint(flat_five):
-    oracle = scripted({2})
-    retained, changed = reduction_pass(flat_five, oracle, frozenset({2}),
-                                       RemovalOrder.LEAVES_FIRST)
-    assert retained == {2}
-    assert not changed
+    # the last sweep starts from the 1-minimal set and rejects every removal
+    outcome = reduce_test(flat_five, scripted({2}))
+    assert outcome.retained == {2}
+    last_pass = outcome.trace[-len(outcome.retained):]
+    assert [entry.node_id for entry in last_pass] == [2]
+    assert not any(entry.accepted for entry in last_pass)
 
 
-def test_subtrees_first_needs_fewer_calls_than_leaves_first():
-    source = "if (a) { x();\n y(); }\nz();\n"
-    oracle = scripted({3})
-
-    def calls_with(order):
-        ast = parse_test(source)
-        baseline = baseline_signature(oracle, ast)
-        counter = CountingOracle(failure_sets=oracle.failure_sets)
-        retained = ast.all_ids()
-        while True:
-            retained, changed = reduction_pass(ast, counter, retained, order,
-                                               baseline)
-            if not changed:
-                break
-        return counter.calls, retained
-
-    subtree_calls, subtree_result = calls_with(RemovalOrder.SUBTREES_FIRST)
-    leaf_calls, leaf_result = calls_with(RemovalOrder.LEAVES_FIRST)
-    assert subtree_result == leaf_result == {3}
-    assert subtree_calls < leaf_calls
+def test_subtrees_are_attempted_before_leaves():
+    # deleting the whole if first takes both its children in one call
+    ast = parse_test("if (a) { x();\n y(); }\nz();\n")
+    outcome = reduce_test(ast, scripted({3}))
+    assert outcome.retained == {3}
+    assert [entry.node_id for entry in outcome.trace] == [0, 3, 3]
+    assert outcome.oracle_calls == 4
 
 
-class CountingOracle(ScriptedOracle):
-    """Scripted oracle that counts evaluations."""
-
-    def __post_init__(self):
-        super().__post_init__()
-        object.__setattr__(self, "calls", 0)
-
-    def fails(self, retained):
-        object.__setattr__(self, "calls", self.calls + 1)
-        return super().fails(retained)
-
-
-def test_any_order_reaches_same_fixpoint_for_monotone_oracles():
+def test_monotone_oracles_reduce_to_the_closure_of_the_cause():
     rng = random.Random(21)
     for _ in range(50):
         ast = random_ast(rng)
         ids = sorted(ast.all_ids())
         cause = frozenset(rng.sample(ids, rng.randint(1, min(3, len(ids)))))
-        oracle = scripted(cause)
-        results = set()
-        for order in RemovalOrder:
-            retained = ast.all_ids()
-            while True:
-                retained, changed = reduction_pass(ast, oracle, retained, order,
-                                                   "scripted")
-                if not changed:
-                    break
-            results.add(retained)
-        assert len(results) == 1
-        assert results.pop() == ast.ancestor_closure(cause)
+        outcome = reduce_test(ast, scripted(cause))
+        assert outcome.retained == ast.ancestor_closure(cause)
 
 
 def test_brute_force_trivial_cases(flat_five):
@@ -201,7 +165,7 @@ def test_blockers_keep_soundness_and_one_minimality():
         blockers = frozenset(rng.sample(ids, min(len(ids), rng.randint(2, 3))))
         oracle = scripted(cause, blockers=blockers)
         outcome = reduce_test(ast, oracle)
-        assert evaluate(oracle, outcome.retained).status is VerdictStatus.FAIL
+        assert evaluate(oracle, outcome.retained, ast).status is VerdictStatus.FAIL
         assert verify_one_minimal(ast, oracle, outcome.retained,
                                   baseline="scripted")
 
