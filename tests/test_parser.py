@@ -1,4 +1,8 @@
+import re
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from redustat.model import StmtKind, count_categories
 from redustat.parser import (
@@ -6,6 +10,7 @@ from redustat.parser import (
     UnsupportedConstructError,
     parse_test,
     token_texts,
+    tokenize,
 )
 
 
@@ -168,7 +173,8 @@ def test_unsupported_construct_is_reported_by_name():
     with pytest.raises(UnsupportedConstructError) as info:
         parse_test("foo();\nswitch (x) { }\n")
     assert info.value.construct == "switch"
-    assert info.value.line == 2
+    assert str(info.value) == "unsupported construct 'switch' (line 2, column 1)"
+    assert (info.value.line, info.value.column) == (2, 1)
 
 
 def test_unmatched_closing_brace():
@@ -179,3 +185,76 @@ def test_unmatched_closing_brace():
 def test_bad_for_header():
     with pytest.raises(StatementSyntaxError):
         parse_test("for (nothing) { a(); }")
+
+
+# -- tokens ------------------------------------------------------------------
+
+# Each case maps a source either to its token texts or to the error it
+# raises: (message without the position, line, column).
+TOKEN_CASES = [
+    ("é = 1;", ["é", "=", "1", ";"]),
+    ("$x _y", ["$x", "_y"]),
+    ("x$1.y", ["x$1", ".", "y"]),
+    ("x² a½", ["x²", "a½"]),
+    ("1_000L", ["1_000L"]),
+    ("0x1F", ["0x1F"]),
+    ("3.14f", ["3.14f"]),
+    ("1$", ["1", "$"]),
+    ("²5", ["²5"]),
+    ("²5.5", ["²5.5"]),
+    ("a.b", ["a", ".", "b"]),
+    ("v.2", ["v", ".", "2"]),
+    ("a\r\nb", ["a", "b"]),
+    ("/**/x//c", ["x"]),
+    ("s(\"a\\\"b\", '\\'');", ["s", "(", "\"a\\\"b\"", ",", "'\\''", ")", ";"]),
+    ("½", ("unexpected character '½'", 1, 1)),
+    ("Ⅻ", ("unexpected character 'Ⅻ'", 1, 1)),
+    ("a\fb", ("unexpected character '\\x0c'", 1, 2)),
+    ("/* a\n b */\n#", ("unexpected character '#'", 3, 1)),
+    ("x;\n  \"abc", ("unterminated literal", 2, 3)),
+    ("x;\n 'a\nb'", ("unterminated literal", 2, 2)),
+    ("\"\\", ("unterminated literal", 1, 1)),
+    ("x;\n  /* never closed", ("unterminated block comment", 2, 3)),
+]
+
+
+@pytest.mark.parametrize("source, expected", TOKEN_CASES)
+def test_token_table(source, expected):
+    if isinstance(expected, list):
+        assert token_texts(source) == expected
+        return
+    message, line, column = expected
+    with pytest.raises(StatementSyntaxError) as info:
+        token_texts(source)
+    assert str(info.value) == f"{message} (line {line}, column {column})"
+    assert (info.value.line, info.value.column) == (line, column)
+
+
+_FRAGMENTS = st.sampled_from([
+    "x", "é", "$a", "_b1", "foo", "a.b", "12", "0x1F", "3.14f", "1_000L",
+    "\"s;}\"", "'c'", "'\\''", "\"a\\\"b\"", "\"a\\\nb\"",
+    "(", ")", "{", "}", "[", "]", ";", ":", ",", ".", "=", "+", "-", "*",
+    "/", "<", ">", "!", "&", "|", "@",
+    "// note\n", "/* c */", "/* two\nlines */",
+])
+_SEPARATORS = st.sampled_from(["", " ", "\n", "\t", "\r\n", "  "])
+_SKIPPED = re.compile(r"(?:[ \t\r\n]+|//[^\n]*|/\*.*?\*/)*", re.DOTALL)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(_SEPARATORS, _FRAGMENTS), max_size=30), _SEPARATORS)
+def test_tokens_cover_the_source_between_skipped_gaps(parts, tail):
+    source = "".join(sep + fragment for sep, fragment in parts) + tail
+    try:
+        tokens = tokenize(source)
+    except StatementSyntaxError as error:
+        # "/" next to "*" opens a comment that may never close.
+        assert str(error).startswith("unterminated block comment")
+        return
+    position = 0
+    for token in tokens:
+        assert token.text == source[token.start:token.end]
+        assert position <= token.start < token.end
+        assert _SKIPPED.fullmatch(source[position:token.start])
+        position = token.end
+    assert _SKIPPED.fullmatch(source[position:])
