@@ -19,7 +19,8 @@ A corpus config is a JSON file::
 Entries are reduced in parallel up to ``parallelism``; each entry is
 isolated, so one failing entry never corrupts its siblings. Per-entry
 reduction reports (with the removal trace) land in
-``<output_dir>/reductions/``.
+``<output_dir>/reductions/<name>.json``, so entry names must be unique and
+must not contain a path separator.
 """
 
 from __future__ import annotations
@@ -95,6 +96,10 @@ class CorpusConfig:
         names = [entry.name for entry in self.entries]
         if len(set(names)) != len(names):
             raise CorpusConfigError("entry names must be unique")
+        for name in names:
+            # The name is the file name of the entry's reduction report.
+            if "/" in name or "\\" in name or name in (".", ".."):
+                raise CorpusConfigError(f"entry name {name!r} is not a file name")
 
 
 def load_corpus_config(path: str | Path) -> CorpusConfig:

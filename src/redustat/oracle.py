@@ -27,9 +27,11 @@ concurrently with itself: the command typically mutates its workdir.
 
 from __future__ import annotations
 
+import contextlib
 import os
 import re
 import shlex
+import signal
 import subprocess
 import tempfile
 import time
@@ -206,27 +208,39 @@ def _run_external_once(config: OracleConfig, source_text: str) -> OracleVerdict:
         ]
         env = dict(os.environ, **{CANDIDATE_ENV_VAR: candidate_path})
         try:
-            proc = subprocess.run(
+            # A session of its own, so that a timeout can kill everything
+            # the command started, not just the command itself. The session
+            # also keeps the terminal's Ctrl-C from the command, so an
+            # interruption here kills the group as well.
+            proc = subprocess.Popen(
                 argv,
                 cwd=config.workdir,
                 env=env,
-                capture_output=True,
+                stdout=subprocess.PIPE,
+                stderr=subprocess.PIPE,
                 text=True,
                 errors="replace",
-                timeout=config.timeout_ms / 1000.0,
+                start_new_session=True,
             )
-        except subprocess.TimeoutExpired:
-            return OracleVerdict(VerdictStatus.INVALID,
-                                 duration_ms=_elapsed_ms(started))
         except OSError as exc:
             raise OracleSpawnError(f"cannot run oracle command {argv!r}: {exc}") from exc
+        with proc:
+            try:
+                stdout, stderr = proc.communicate(timeout=config.timeout_ms / 1000.0)
+            except BaseException as exc:
+                with contextlib.suppress(ProcessLookupError):
+                    os.killpg(proc.pid, signal.SIGKILL)
+                proc.wait()
+                if not isinstance(exc, subprocess.TimeoutExpired):
+                    raise
+                return OracleVerdict(VerdictStatus.INVALID,
+                                     duration_ms=_elapsed_ms(started))
 
     duration = _elapsed_ms(started)
     if proc.returncode == 0:
         return OracleVerdict(VerdictStatus.PASS, duration_ms=duration)
     if proc.returncode in config.fail_exit_codes:
-        signature = _extract_signature(config, proc.stdout + proc.stderr,
-                                       proc.returncode)
+        signature = _extract_signature(config, stdout + stderr, proc.returncode)
         return OracleVerdict(VerdictStatus.FAIL, signature, duration)
     return OracleVerdict(VerdictStatus.INVALID, duration_ms=duration)
 

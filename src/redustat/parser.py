@@ -18,7 +18,8 @@ The full grammar is documented in ``docs/grammar.md``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import re
+from typing import NamedTuple
 
 from .model import StatementNode, StmtKind, TestCaseAst
 
@@ -37,23 +38,28 @@ class UnsupportedConstructError(StatementSyntaxError):
 
     def __init__(self, construct: str, line: int, column: int):
         self.construct = construct
-        super(StatementSyntaxError, self).__init__(
-            f"unsupported construct '{construct}' (line {line}, column {column})"
-        )
-        self.line = line
-        self.column = column
+        super().__init__(f"unsupported construct '{construct}'", line, column)
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     text: str
     start: int
     end: int
-    line: int
-    column: int
 
 
-_PUNCT = set("(){}[];:,.?=+-*/%<>!&|^~@")
+# One alternative per token class. Whitespace and comments are matched but
+# dropped; a block-comment opener matches on its own only when no "*/"
+# follows. A literal holds no raw newline except after a backslash.
+_TOKEN = re.compile(r"""
+    (?P<skip>(?:[ \t\r\n]+|//[^\n]*|/\*.*?\*/)+)
+  | (?P<open_comment>/\*)
+  | (?P<literal>"(?:\\.|[^"\\\n])*"|'(?:\\.|[^'\\\n])*')
+  | (?P<number>\d[\w.]*)
+  | (?P<word>[\w$]+)
+  | (?P<punct>[(){}\[\];:,.?=+\-*/%<>!&|^~@])
+""", re.VERBOSE | re.DOTALL)
+_NUMBER = re.compile(r"[\w.]+")
+
 _OPEN = {"(": ")", "[": "]", "{": "}"}
 _CLOSE = {")", "]", "}"}
 
@@ -63,6 +69,12 @@ _PRIMITIVES = {
 }
 
 
+def _line_column(source: str, offset: int) -> tuple[int, int]:
+    """1-based line and column of ``offset`` in ``source``."""
+    line_start = source.rfind("\n", 0, offset) + 1
+    return source.count("\n", 0, offset) + 1, offset - line_start + 1
+
+
 def tokenize(source: str) -> list[Token]:
     """Split source into tokens, dropping whitespace and comments.
 
@@ -70,73 +82,26 @@ def tokenize(source: str) -> list[Token]:
     semicolons inside them never affect statement boundaries.
     """
     tokens: list[Token] = []
-    i = 0
-    line = 1
-    line_start = 0
-    n = len(source)
-
-    def advance_lines(text: str, upto: int) -> None:
-        nonlocal line, line_start
-        for k in range(len(text)):
-            if text[k] == "\n":
-                line += 1
-                line_start = upto - len(text) + k + 1
-
-    while i < n:
-        ch = source[i]
-        if ch in " \t\r\n":
-            if ch == "\n":
-                line += 1
-                line_start = i + 1
-            i += 1
-            continue
-        col = i - line_start + 1
-        if source.startswith("//", i):
-            end = source.find("\n", i)
-            i = n if end == -1 else end
-            continue
-        if source.startswith("/*", i):
-            end = source.find("*/", i + 2)
-            if end == -1:
-                raise StatementSyntaxError("unterminated block comment", line, col)
-            advance_lines(source[i:end + 2], end + 2)
-            i = end + 2
-            continue
-        if ch in "\"'":
-            j = i + 1
-            while j < n:
-                if source[j] == "\\":
-                    j += 2
-                    continue
-                if source[j] == ch:
-                    break
-                if source[j] == "\n":
-                    raise StatementSyntaxError("unterminated literal", line, col)
-                j += 1
-            if j >= n:
-                raise StatementSyntaxError("unterminated literal", line, col)
-            tokens.append(Token(source[i:j + 1], i, j + 1, line, col))
-            i = j + 1
-            continue
-        if ch.isalpha() or ch == "_" or ch == "$":
-            j = i + 1
-            while j < n and (source[j].isalnum() or source[j] in "_$"):
-                j += 1
-            tokens.append(Token(source[i:j], i, j, line, col))
-            i = j
-            continue
-        if ch.isdigit():
-            j = i + 1
-            while j < n and (source[j].isalnum() or source[j] in "._"):
-                j += 1
-            tokens.append(Token(source[i:j], i, j, line, col))
-            i = j
-            continue
-        if ch in _PUNCT:
-            tokens.append(Token(ch, i, i + 1, line, col))
-            i += 1
-            continue
-        raise StatementSyntaxError(f"unexpected character {ch!r}", line, col)
+    pos = 0
+    while pos < len(source):
+        match = _TOKEN.match(source, pos)
+        kind = match.lastgroup if match else None
+        if kind == "word" and not _is_word(source[pos]):
+            # \w also matches numerals outside \d: "²" starts a number, as
+            # str.isdigit() says, and "½" starts no token at all.
+            match = _NUMBER.match(source, pos) if source[pos].isdigit() else None
+        if match is None or kind == "open_comment":
+            if kind == "open_comment":
+                message = "unterminated block comment"
+            elif source[pos] in "\"'":
+                message = "unterminated literal"
+            else:
+                message = f"unexpected character {source[pos]!r}"
+            raise StatementSyntaxError(message, *_line_column(source, pos))
+        end = match.end()
+        if kind != "skip":
+            tokens.append(Token(source[pos:end], pos, end))
+        pos = end
     return tokens
 
 
@@ -180,19 +145,24 @@ class _Parser:
 
     # -- token helpers ---------------------------------------------------
 
+    def _error(self, message: str, tok: Token | None) -> StatementSyntaxError:
+        """The error at ``tok``; with no token, at the last one (or at 1:1)."""
+        if tok is None and self.tokens:
+            tok = self.tokens[-1]
+        return StatementSyntaxError(
+            message, *_line_column(self.source, tok.start if tok else 0))
+
     def _peek(self) -> Token | None:
         return self.tokens[self.pos] if self.pos < len(self.tokens) else None
 
     def _next(self, expected: str | None = None) -> Token:
         tok = self._peek()
         if tok is None:
-            last = self.tokens[-1] if self.tokens else Token("", 0, 0, 1, 1)
-            raise StatementSyntaxError(
+            raise self._error(
                 f"unexpected end of input{f', expected {expected!r}' if expected else ''}",
-                last.line, last.column)
+                None)
         if expected is not None and tok.text != expected:
-            raise StatementSyntaxError(
-                f"expected {expected!r}, found {tok.text!r}", tok.line, tok.column)
+            raise self._error(f"expected {expected!r}, found {tok.text!r}", tok)
         self.pos += 1
         return tok
 
@@ -227,14 +197,12 @@ class _Parser:
             tok = self._peek()
             if tok is None:
                 if stop_at_brace:
-                    last = self.tokens[-1] if self.tokens else Token("", 0, 0, 1, 1)
-                    raise StatementSyntaxError("missing closing '}'",
-                                               last.line, last.column)
+                    raise self._error("missing closing '}'", None)
                 return out
             if tok.text == "}":
                 if stop_at_brace:
                     return out
-                raise StatementSyntaxError("unmatched '}'", tok.line, tok.column)
+                raise self._error("unmatched '}'", tok)
             out.append(self.parse_statement())
 
     def parse_statement(self) -> dict:
@@ -242,7 +210,8 @@ class _Parser:
         assert tok is not None
         text = tok.text
         if text in _UNSUPPORTED_STARTERS:
-            raise UnsupportedConstructError(text, tok.line, tok.column)
+            raise UnsupportedConstructError(
+                text, *_line_column(self.source, tok.start))
         if text == ";":
             self._next()
             return self._node(StmtKind.EMPTY, tok.start, tok.end, [])
@@ -262,8 +231,7 @@ class _Parser:
             elif colons >= 1:
                 kind = StmtKind.FOR_EACH
             else:
-                raise StatementSyntaxError(
-                    "for header needs either two ';' or a ':'", tok.line, tok.column)
+                raise self._error("for header needs either two ';' or a ':'", tok)
             return self._body_into(kind, tok.start)
         if text == "do":
             return self._do_while()
@@ -297,29 +265,23 @@ class _Parser:
     def _body_into(self, kind: StmtKind, start: int) -> dict:
         tok = self._peek()
         if tok is None or tok.text != "{":
-            where = tok or self.tokens[-1]
-            raise StatementSyntaxError(
-                f"{kind.value} body must be a braced block", where.line, where.column)
-        node = self._braced(kind, start)
-        return node
+            what = "labeled statement" if kind is StmtKind.LABELED else kind.value
+            raise self._error(f"{what} body must be a braced block", tok)
+        return self._braced(kind, start)
 
     def _if_statement(self) -> dict:
-        start_tok = self._next("if")
+        start = self._next("if").start
         self._skip_parenthesized()
-        node = self._body_into(StmtKind.IF, start_tok.start)
+        node = self._body_into(StmtKind.IF, start)
         while self._at("else"):
             self._next("else")
-            if self._at("if"):
+            chained = self._at("if")
+            if chained:
                 self._next("if")
                 self._skip_parenthesized()
-                branch = self._body_into(StmtKind.IF, start_tok.start)
-                node["children"].extend(branch["children"])
-                node["span"] = (start_tok.start, branch["span"][1])
-                continue
-            branch = self._body_into(StmtKind.IF, start_tok.start)
-            node["children"].extend(branch["children"])
-            node["span"] = (start_tok.start, branch["span"][1])
-            break
+            _merge(node, self._body_into(StmtKind.IF, start))
+            if not chained:
+                break
         return node
 
     def _do_while(self) -> dict:
@@ -332,26 +294,22 @@ class _Parser:
         return node
 
     def _try_statement(self) -> dict:
-        start_tok = self._next("try")
+        start = self._next("try").start
         if self._at("("):
             self._skip_parenthesized()  # try-with-resources header
-        node = self._body_into(StmtKind.TRY, start_tok.start)
+        node = self._body_into(StmtKind.TRY, start)
         while self._at("catch"):
             self._next("catch")
             self._skip_parenthesized()
-            block = self._body_into(StmtKind.TRY, start_tok.start)
-            node["children"].extend(block["children"])
-            node["span"] = (start_tok.start, block["span"][1])
+            _merge(node, self._body_into(StmtKind.TRY, start))
         if self._at("finally"):
             self._next("finally")
-            block = self._body_into(StmtKind.TRY, start_tok.start)
-            node["children"].extend(block["children"])
-            node["span"] = (start_tok.start, block["span"][1])
+            _merge(node, self._body_into(StmtKind.TRY, start))
         return node
 
     def _is_label_start(self) -> bool:
         tok = self._peek()
-        if tok is None or not (tok.text[0].isalpha() or tok.text[0] in "_$"):
+        if tok is None or not _is_word(tok.text):
             return False
         after = self.tokens[self.pos + 1] if self.pos + 1 < len(self.tokens) else None
         return after is not None and after.text == ":"
@@ -359,13 +317,7 @@ class _Parser:
     def _labeled_statement(self) -> dict:
         label = self._next()
         self._next(":")
-        tok = self._peek()
-        if tok is None or tok.text != "{":
-            where = tok or self.tokens[-1]
-            raise StatementSyntaxError(
-                "labeled statement body must be a braced block", where.line, where.column)
-        node = self._braced(StmtKind.LABELED, label.start)
-        return node
+        return self._body_into(StmtKind.LABELED, label.start)
 
     def _leaf_to_semicolon(self, kind: StmtKind | None) -> dict:
         """Consume tokens until a ';' at bracket depth zero.
@@ -380,21 +332,25 @@ class _Parser:
         while True:
             tok = self._peek()
             if tok is None:
-                raise StatementSyntaxError(
-                    "statement not terminated by ';'", start_tok.line, start_tok.column)
+                raise self._error("statement not terminated by ';'", start_tok)
             self.pos += 1
             if tok.text in _OPEN:
                 depth += 1
             elif tok.text in _CLOSE:
                 depth -= 1
                 if depth < 0:
-                    raise StatementSyntaxError(
-                        f"unmatched {tok.text!r}", tok.line, tok.column)
+                    raise self._error(f"unmatched {tok.text!r}", tok)
             elif tok.text == ";" and depth == 0:
                 break
         if kind is None:
             kind = _classify_leaf([t.text for t in self.tokens[first:self.pos - 1]])
         return self._node(kind, start_tok.start, self.tokens[self.pos - 1].end, [])
+
+
+def _merge(node: dict, branch: dict) -> None:
+    """Append a further branch (else, catch, finally) to a flattened node."""
+    node["children"].extend(branch["children"])
+    node["span"] = (node["span"][0], branch["span"][1])
 
 
 def _classify_leaf(texts: list[str]) -> StmtKind:

@@ -233,6 +233,8 @@ class ReportBundle:
     boxplot: dict[str, FiveNumberSummary]
     provenance: dict
     entry_statuses: list[EntryStatus] = field(default_factory=list)
+    #: One report per ok entry status, in the same order; each is written
+    #: to ``reductions/<entry name>.json``.
     reduction_reports: list[dict] = field(default_factory=list)
 
     @property
@@ -265,8 +267,9 @@ class ReportBundle:
         if self.reduction_reports:
             reductions = out / "reductions"
             reductions.mkdir(exist_ok=True)
-            for reduction in self.reduction_reports:
-                path = reductions / f"{reduction['test_name']}.json"
+            names = [status.name for status in self.entry_statuses if status.ok]
+            for name, reduction in zip(names, self.reduction_reports, strict=True):
+                path = reductions / f"{name}.json"
                 path.write_text(_dump_json(reduction), encoding="utf-8")
         return out
 

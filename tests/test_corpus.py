@@ -100,6 +100,17 @@ def test_duplicate_entry_names_rejected(tmp_path):
         load_corpus_config(write_corpus(tmp_path, entries))
 
 
+@pytest.mark.parametrize("name", ["../escaped", "a/b", "a\\b", ".", ".."])
+def test_entry_names_that_are_not_file_names_rejected(tmp_path, name):
+    entries = [
+        entry("fine", "a();\n", [[0]], tmp_path),
+        dict(entry("other", "b();\n", [[0]], tmp_path), name=name),
+    ]
+    with pytest.raises(CorpusConfigError):
+        load_corpus_config(write_corpus(tmp_path, entries))
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["corpus.json", "tests"]
+
+
 def test_parallel_run_equals_serial_run(tmp_path):
     entries = [
         entry(f"t{i}", f"a{i}();\nb{i}();\nc{i}();\nd{i}();\n", [[i % 4]], tmp_path)
@@ -139,6 +150,36 @@ def test_tree_document_entries_are_supported(tmp_path):
     config = load_corpus_config(write_corpus(tmp_path, entries))
     bundle = run_corpus(config, write=False)
     assert bundle.records[0].ars == 1
+
+
+def test_reports_of_documents_with_one_test_name_do_not_collide(tmp_path):
+    document = {
+        "test_name": "same",
+        "source": "lead(); inner();",
+        "nodes": [
+            {"id": 0, "kind": "ExpressionStmt", "has_children": False,
+             "span": [0, 7], "children": []},
+            {"id": 1, "kind": "ExpressionStmt", "has_children": False,
+             "span": [8, 16], "children": []},
+        ],
+        "roots": [0, 1],
+    }
+    (tmp_path / "tests").mkdir()
+    (tmp_path / "tests" / "doc.json").write_text(json.dumps(document),
+                                                 encoding="utf-8")
+    entries = [
+        {"name": name, "tree_file": "tests/doc.json",
+         "oracle": {"mode": "scripted", "failure_sets": [[keep]]}}
+        for name, keep in (("first", 0), ("second", 1))
+    ]
+    run_corpus(load_corpus_config(write_corpus(tmp_path, entries)))
+    reductions = tmp_path / "out" / "reductions"
+    assert sorted(p.name for p in reductions.iterdir()) == ["first.json",
+                                                            "second.json"]
+    for name, keep in (("first", 0), ("second", 1)):
+        report = json.loads((reductions / f"{name}.json").read_text())
+        assert report["test_name"] == "same"
+        assert report["retained"] == [keep]
 
 
 def test_command_oracle_entries_run_in_scratch_dirs(tmp_path, monkeypatch):

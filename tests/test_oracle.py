@@ -1,6 +1,7 @@
 import random
 import sys
 import textwrap
+import time
 from pathlib import Path
 
 import pytest
@@ -174,6 +175,19 @@ def test_timeout_is_invalid(tmp_path):
         match_policy=MatchPolicy.ANY_FAILURE,
     )
     assert command_verdict(config, "x();").status is VerdictStatus.INVALID
+
+
+def test_timeout_kills_what_the_command_started(tmp_path):
+    marker = tmp_path / "marker"
+    config = OracleConfig(
+        command_template=f"sh -c 'sleep 1 && touch {marker} & wait; exit 1'",
+        workdir=str(tmp_path),
+        timeout_ms=300,
+        match_policy=MatchPolicy.ANY_FAILURE,
+    )
+    assert command_verdict(config, "x();").status is VerdictStatus.INVALID
+    time.sleep(1.5)
+    assert not marker.exists()
 
 
 def test_spawn_failure_raises(tmp_path):

@@ -159,6 +159,12 @@ def test_syntax_error_carries_line_and_column():
     assert info.value.column == 1
 
 
+def test_positions_count_a_backslash_newline_inside_a_literal():
+    with pytest.raises(StatementSyntaxError) as info:
+        parse_test('s("a\\\nb");\nfoo(')
+    assert (info.value.line, info.value.column) == (3, 1)
+
+
 def test_missing_semicolon_is_a_syntax_error():
     with pytest.raises(StatementSyntaxError):
         parse_test("foo()")
