@@ -14,6 +14,7 @@ from redustat.metrics import (
     metrics_from_reduction,
     read_records_csv,
     records_to_csv,
+    summary_to_csv,
 )
 from redustat.oracle import ScriptedOracle
 from redustat.reducer import reduce_test
@@ -173,3 +174,51 @@ def test_derive_probabilities_fills_from_counts():
     derived = derive_record_probabilities(raw)
     assert derived.prntrs == 2 / 7
     assert derived.prtrs == 0.0
+
+
+SUMMARY_HEADER = ("n,stmts,ntn,tn,ars,prs,antrs,pntrs,atrs,ptrs,prntrs,prtrs,"
+                  "prntrs_excluded,prtrs_excluded\n")
+
+
+def test_summary_csv_text_of_table_one():
+    from redustat.replicate import replicate_from_fixtures
+
+    assert summary_to_csv(replicate_from_fixtures("I").means) == (
+        SUMMARY_HEADER
+        + "30,20.9000,18.8667,2.0333,12.4667,53.22,11.2000,47.65,"
+          "1.2333,5.38,53.50,53.89,0,8\n")
+
+
+def test_summary_csv_text_of_synthetic_corpus():
+    from pathlib import Path
+
+    from redustat.corpus import load_corpus_config, run_corpus
+
+    config = load_corpus_config(Path(__file__).resolve().parent.parent / "src"
+                                / "redustat" / "data" / "synthetic" / "corpus.json")
+    assert summary_to_csv(run_corpus(config, write=False).means) == (
+        SUMMARY_HEADER
+        + "30,11.4000,8.9000,2.5000,8.4333,70.45,7.2333,61.75,"
+          "1.2000,8.70,78.53,39.20,0,3\n")
+
+
+@pytest.mark.parametrize("row, message", [
+    ("t,p,nine,7,2,2,22.22,2,22.22,0,0,,",
+     "line 2: invalid literal for int() with base 10: 'nine'"),
+    ("t,p,9,7,2,2,22.22,2,22.22,0,0,",
+     "line 2: expected 13 cells, found 12"),
+    # percent cells are read before count cells
+    ("t,p,nine,7,2,2,bad,2,22.22,0,0,,",
+     "line 2: could not convert string to float: 'bad'"),
+])
+def test_csv_schema_error_messages(row, message):
+    with pytest.raises(CsvSchemaError) as excinfo:
+        read_records_csv(",".join(CSV_COLUMNS) + "\n" + row + "\n")
+    assert str(excinfo.value) == message
+
+
+def test_percent_sign_in_cell_reads_as_plain_number():
+    header = ",".join(CSV_COLUMNS) + "\n"
+    plain = read_records_csv(header + "t,p,13,13,0,7,53.84,7,53.84,0,0,53.84,\n")
+    signed = read_records_csv(header + "t,p,13,13,0,7,53.84%,7,53.84%,0,0%,53.84%,\n")
+    assert plain == signed
