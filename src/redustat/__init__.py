@@ -44,7 +44,6 @@ from .metrics import (
     compute_metrics,
     metrics_from_reduction,
     read_records_csv,
-    write_records_csv,
 )
 from .stats import (
     AllZeroDifferencesError,
@@ -105,7 +104,6 @@ __all__ = [
     "compute_metrics",
     "metrics_from_reduction",
     "read_records_csv",
-    "write_records_csv",
     "AllZeroDifferencesError",
     "ConstantInputError",
     "StatsMethod",

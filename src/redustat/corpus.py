@@ -12,9 +12,15 @@ A corpus config is a JSON file::
          "oracle": {"mode": "scripted",
                     "failure_sets": [[3, 5]], "blockers": []}
          # or     {"mode": "command", "command_template": "...",
-         #         "timeout_ms": 60000, "fail_exit_codes": [1],
-         #         "signature_pattern": "..."}
+         #         "workdir": ".", "timeout_ms": 60000,
+         #         "fail_exit_codes": [1], "signature_pattern": "..."}
         }, ...]}
+
+The oracle keys other than ``mode`` are the fields of
+:class:`~redustat.oracle.ScriptedOracle` or
+:class:`~redustat.oracle.OracleConfig`, with their defaults; an unknown key
+is an entry error. The corpus ``policy`` sets a command oracle's
+``match_policy``.
 
 Entries are reduced in parallel up to ``parallelism``; each entry is
 isolated, so one failing entry never corrupts its siblings. Per-entry
@@ -27,7 +33,7 @@ from __future__ import annotations
 
 import json
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
 from .ingest import ingest_tree
@@ -59,24 +65,24 @@ class CorpusEntry:
         return parse_test(text, test_name=self.name, project=self.project)
 
     def build_oracle(self, policy: MatchPolicy) -> Oracle:
-        spec = self.oracle_spec
-        mode = spec.get("mode", "scripted")
-        if mode == "scripted":
-            return ScriptedOracle(
-                failure_sets=tuple(frozenset(fs) for fs in spec["failure_sets"]),
-                blockers=frozenset(spec.get("blockers", ())),
-            )
-        if mode == "command":
-            return OracleConfig(
-                command_template=spec["command_template"],
-                workdir=spec.get("workdir", "."),
-                timeout_ms=spec.get("timeout_ms", 60_000),
-                fail_exit_codes=frozenset(spec.get("fail_exit_codes", (1,))),
-                signature_pattern=spec.get("signature_pattern"),
-                match_policy=policy,
-                retries=spec.get("retries", 0),
-            )
-        raise CorpusConfigError(f"entry {self.name!r}: unknown oracle mode {mode!r}")
+        spec = dict(self.oracle_spec)
+        mode = spec.pop("mode", "scripted")
+        oracle_types = {"scripted": ScriptedOracle, "command": OracleConfig}
+        if mode not in oracle_types:
+            raise CorpusConfigError(f"entry {self.name!r}: unknown oracle mode {mode!r}")
+        oracle_type = oracle_types[mode]
+        keys = {field.name for field in fields(oracle_type)} - {"match_policy"}
+        for key in spec:
+            if key not in keys:
+                raise CorpusConfigError(f"entry {self.name!r}: unknown oracle key {key!r}")
+        if "failure_sets" in spec:
+            spec["failure_sets"] = tuple(frozenset(fs) for fs in spec["failure_sets"])
+        for key in ("blockers", "fail_exit_codes"):
+            if key in spec:
+                spec[key] = frozenset(spec[key])
+        if oracle_type is OracleConfig:
+            spec["match_policy"] = policy
+        return oracle_type(**spec)
 
 
 @dataclass
@@ -153,7 +159,10 @@ def _run_entry(entry: CorpusEntry, policy: MatchPolicy) -> _EntryResult:
     try:
         ast = entry.load_ast()
         outcome = reduce_test(ast, entry.build_oracle(policy))
-        record = metrics_from_reduction(ast, outcome, project=entry.project)
+        # Rows are keyed by the entry, like the reports: two tree documents
+        # may carry one test_name.
+        record = replace(metrics_from_reduction(ast, outcome),
+                         test_name=entry.name, project=entry.project)
         return _EntryResult(EntryStatus(entry.name, True), record,
                             outcome.to_report())
     except Exception as exc:

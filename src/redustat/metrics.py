@@ -28,10 +28,9 @@ from __future__ import annotations
 
 import csv
 import io
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields
 from decimal import Decimal, ROUND_HALF_UP
-from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .model import TestCaseAst, count_categories
 from .reducer import ReductionOutcome
@@ -55,6 +54,13 @@ CSV_COLUMNS = ("test", "project", "stmts", "ntn", "tn", "ars", "prs",
 
 #: Columns carrying fractions, rendered as percentages.
 PERCENT_COLUMNS = ("prs", "pntrs", "ptrs", "prntrs", "prtrs")
+
+#: The numeric columns, after the test's name and project.
+_NUMBER_COLUMNS = CSV_COLUMNS[2:]
+
+#: The removal probabilities, undefined (``None``) when their category is
+#: empty, each with its ``(removed, total)`` count columns.
+_PROBABILITIES = {"prntrs": ("antrs", "ntn"), "prtrs": ("atrs", "tn")}
 
 
 @dataclass(frozen=True)
@@ -133,14 +139,14 @@ def compute_metrics(counts: tuple[int, int, int], removal: tuple[int, int],
     )
 
 
-def metrics_from_reduction(ast: TestCaseAst, outcome: ReductionOutcome,
-                           project: str | None = None) -> MetricsRecord:
+def metrics_from_reduction(ast: TestCaseAst,
+                           outcome: ReductionOutcome) -> MetricsRecord:
     """Record for one finished reduction."""
     return compute_metrics(
         count_categories(ast),
         (outcome.removed_ntn, outcome.removed_tn),
         test_name=ast.test_name,
-        project=ast.project if project is None else project,
+        project=ast.project,
     )
 
 
@@ -149,28 +155,15 @@ def aggregate_means(records: Sequence[MetricsRecord]) -> MeanSummary:
     if not records:
         raise EmptyCorpusError("cannot aggregate an empty corpus")
     n = len(records)
-
-    def mean(values: Iterable[float]) -> float:
-        values = list(values)
-        return sum(values) / len(values)
-
-    prntrs_rows = [r.prntrs for r in records if r.prntrs is not None]
-    prtrs_rows = [r.prtrs for r in records if r.prtrs is not None]
+    defined = {column: [value for record in records
+                        if (value := getattr(record, column)) is not None]
+               for column in _NUMBER_COLUMNS}
     return MeanSummary(
         n=n,
-        stmts=mean(r.stmts for r in records),
-        ntn=mean(r.ntn for r in records),
-        tn=mean(r.tn for r in records),
-        ars=mean(r.ars for r in records),
-        prs=mean(r.prs for r in records),
-        antrs=mean(r.antrs for r in records),
-        pntrs=mean(r.pntrs for r in records),
-        atrs=mean(r.atrs for r in records),
-        ptrs=mean(r.ptrs for r in records),
-        prntrs=mean(prntrs_rows) if prntrs_rows else None,
-        prtrs=mean(prtrs_rows) if prtrs_rows else None,
-        prntrs_excluded=n - len(prntrs_rows),
-        prtrs_excluded=n - len(prtrs_rows),
+        **{column: sum(values) / len(values) if values else None
+           for column, values in defined.items()},
+        **{f"{column}_excluded": n - len(defined[column])
+           for column in _PROBABILITIES},
     )
 
 
@@ -190,21 +183,12 @@ def format_percent(fraction: float | None) -> str:
 
 
 def record_to_row(record: MetricsRecord) -> list[str]:
-    return [
-        record.test_name,
-        record.project,
-        str(record.stmts),
-        str(record.ntn),
-        str(record.tn),
-        str(record.ars),
-        format_percent(record.prs),
-        str(record.antrs),
-        format_percent(record.pntrs),
-        str(record.atrs),
-        format_percent(record.ptrs),
-        format_percent(record.prntrs),
-        format_percent(record.prtrs),
-    ]
+    """Cells in ``CSV_COLUMNS`` order: fractions as percentages."""
+    row = [record.test_name, record.project]
+    for column in _NUMBER_COLUMNS:
+        value = getattr(record, column)
+        row.append(format_percent(value) if column in PERCENT_COLUMNS else str(value))
+    return row
 
 
 def records_to_csv(records: Sequence[MetricsRecord]) -> str:
@@ -216,20 +200,14 @@ def records_to_csv(records: Sequence[MetricsRecord]) -> str:
     return buffer.getvalue()
 
 
-def write_records_csv(records: Sequence[MetricsRecord], path: str | Path) -> None:
-    Path(path).write_text(records_to_csv(records), encoding="utf-8")
-
-
-def read_records_csv(text: str,
-                     derive_probabilities: bool = False) -> list[MetricsRecord]:
+def read_records_csv(text: str) -> list[MetricsRecord]:
     """Load metrics records from CSV text.
 
     Fixture rows are carried verbatim, without cross-column consistency
     checks, because published tables are transcribed as printed, typos
-    included.
-    With ``derive_probabilities`` set, empty probability cells are filled
-    from the count columns at full precision (``antrs/ntn``, ``atrs/tn``)
-    whenever the denominator is non-zero.
+    included. An empty ``prs``/``pntrs``/``ptrs`` cell reads as 0. An empty
+    probability cell is filled from the count columns at full precision
+    (``antrs/ntn``, ``atrs/tn``) whenever the denominator is non-zero.
     """
     reader = csv.reader(io.StringIO(text))
     try:
@@ -246,41 +224,23 @@ def read_records_csv(text: str,
         if len(row) != len(CSV_COLUMNS):
             raise CsvSchemaError(f"line {line_no}: expected "
                                  f"{len(CSV_COLUMNS)} cells, found {len(row)}")
+        cells = dict(zip(CSV_COLUMNS, row))
+        values = {}
         try:
-            percents = [parse_cell(row[i]) for i in (6, 8, 10, 11, 12)]
-            prs, pntrs, ptrs, prntrs, prtrs = (
-                None if value is None else value / 100.0 for value in percents)
-            record = MetricsRecord(
-                test_name=row[0],
-                project=row[1],
-                stmts=int(row[2]),
-                ntn=int(row[3]),
-                tn=int(row[4]),
-                ars=int(row[5]),
-                prs=prs or 0.0,
-                antrs=int(row[7]),
-                pntrs=pntrs or 0.0,
-                atrs=int(row[9]),
-                ptrs=ptrs or 0.0,
-                prntrs=prntrs,
-                prtrs=prtrs,
-            )
+            for column in PERCENT_COLUMNS:
+                value = parse_cell(cells[column])
+                value = None if value is None else value / 100.0
+                values[column] = value if column in _PROBABILITIES else value or 0.0
+            for column in _NUMBER_COLUMNS:
+                if column not in PERCENT_COLUMNS:
+                    values[column] = int(cells[column])
         except ValueError as exc:
             raise CsvSchemaError(f"line {line_no}: {exc}") from None
-        if derive_probabilities:
-            record = derive_record_probabilities(record)
-        records.append(record)
+        for column, (removed, total) in _PROBABILITIES.items():
+            if values[column] is None and values[total] > 0:
+                values[column] = values[removed] / values[total]
+        records.append(MetricsRecord(cells["test"], cells["project"], **values))
     return records
-
-
-def derive_record_probabilities(record: MetricsRecord) -> MetricsRecord:
-    """Fill empty probability cells from counts, at full float precision."""
-    updates = {}
-    if record.prntrs is None and record.ntn > 0:
-        updates["prntrs"] = record.antrs / record.ntn
-    if record.prtrs is None and record.tn > 0:
-        updates["prtrs"] = record.atrs / record.tn
-    return replace(record, **updates) if updates else record
 
 
 def parse_cell(cell: str) -> float | None:
@@ -290,24 +250,15 @@ def parse_cell(cell: str) -> float | None:
 
 
 def summary_to_csv(summary: MeanSummary) -> str:
-    """Single-row CSV for the mean summary (counts with four decimals)."""
-    header = ("n", "stmts", "ntn", "tn", "ars", "prs", "antrs", "pntrs",
-              "atrs", "ptrs", "prntrs", "prtrs", "prntrs_excluded",
-              "prtrs_excluded")
-    row = [
-        str(summary.n),
-        f"{summary.stmts:.4f}",
-        f"{summary.ntn:.4f}",
-        f"{summary.tn:.4f}",
-        f"{summary.ars:.4f}",
-        format_percent(summary.prs),
-        f"{summary.antrs:.4f}",
-        format_percent(summary.pntrs),
-        f"{summary.atrs:.4f}",
-        format_percent(summary.ptrs),
-        format_percent(summary.prntrs),
-        format_percent(summary.prtrs),
-        str(summary.prntrs_excluded),
-        str(summary.prtrs_excluded),
-    ]
+    """Single-row CSV for the mean summary (count means with four decimals)."""
+    header = [field.name for field in fields(MeanSummary)]
+    row = []
+    for column in header:
+        value = getattr(summary, column)
+        if column in PERCENT_COLUMNS:
+            row.append(format_percent(value))
+        elif column in _NUMBER_COLUMNS:
+            row.append(f"{value:.4f}")
+        else:  # n and the excluded-row counts
+            row.append(str(value))
     return ",".join(header) + "\n" + ",".join(row) + "\n"

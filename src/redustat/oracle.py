@@ -115,7 +115,6 @@ class OracleConfig:
     fail_exit_codes: frozenset[int] = frozenset({1})
     signature_pattern: str | None = None
     match_policy: MatchPolicy = MatchPolicy.SAME_SIGNATURE
-    retries: int = 0
 
     def __post_init__(self) -> None:
         if self.timeout_ms <= 0:
@@ -125,15 +124,7 @@ class OracleConfig:
                              "SameSignature policy")
 
     def verdict(self, retained: frozenset[int], ast: TestCaseAst) -> OracleVerdict:
-        source_text = render(ast, retained)
-        for _ in range(1 + max(self.retries, 0)):
-            verdict = _run_external_once(self, source_text)
-            # Retries (default 0) only re-attempt Invalid verdicts: those are
-            # the lossy outcome for the reducer, and the knob exists for
-            # flaky infra.
-            if verdict.status is not VerdictStatus.INVALID:
-                break
-        return verdict
+        return _run_external_once(self, render(ast, retained))
 
 
 @dataclass(frozen=True)
@@ -208,10 +199,10 @@ def _run_external_once(config: OracleConfig, source_text: str) -> OracleVerdict:
         ]
         env = dict(os.environ, **{CANDIDATE_ENV_VAR: candidate_path})
         try:
-            # A session of its own, so that a timeout can kill everything
-            # the command started, not just the command itself. The session
-            # also keeps the terminal's Ctrl-C from the command, so an
-            # interruption here kills the group as well.
+            # A session of its own, so that the end of the run can kill
+            # everything the command started, not just the command itself.
+            # The session also keeps the terminal's Ctrl-C from the command,
+            # so an interruption here kills the group as well.
             proc = subprocess.Popen(
                 argv,
                 cwd=config.workdir,
@@ -227,14 +218,15 @@ def _run_external_once(config: OracleConfig, source_text: str) -> OracleVerdict:
         with proc:
             try:
                 stdout, stderr = proc.communicate(timeout=config.timeout_ms / 1000.0)
-            except BaseException as exc:
-                with contextlib.suppress(ProcessLookupError):
-                    os.killpg(proc.pid, signal.SIGKILL)
-                proc.wait()
-                if not isinstance(exc, subprocess.TimeoutExpired):
-                    raise
+            except subprocess.TimeoutExpired:
                 return OracleVerdict(VerdictStatus.INVALID,
                                      duration_ms=_elapsed_ms(started))
+            finally:
+                # Also after a normal exit: a background child left running
+                # would still write to the workdir while the next candidate
+                # runs there.
+                with contextlib.suppress(ProcessLookupError):
+                    os.killpg(proc.pid, signal.SIGKILL)
 
     duration = _elapsed_ms(started)
     if proc.returncode == 0:

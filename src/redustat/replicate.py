@@ -44,8 +44,7 @@ def _table_source(table: str, fixture_path: str | Path | None) -> str:
 def load_fixture_records(table: str,
                          fixture_path: str | Path | None = None) -> list[MetricsRecord]:
     """Records of Table I or II, probability columns derived from counts."""
-    return read_records_csv(_table_source(table, fixture_path),
-                            derive_probabilities=True)
+    return read_records_csv(_table_source(table, fixture_path))
 
 
 def derive_probability_table(records: list[MetricsRecord]) -> list[tuple[str, float, float]]:
@@ -80,6 +79,6 @@ def replicate_from_fixtures(table: str,
     source = _table_source(table, fixture_path)
     return assemble_bundle(
         corpus_name=f"fixture-table-{table}",
-        records=read_records_csv(source, derive_probabilities=True),
+        records=read_records_csv(source),
         provenance_source=source,
     )

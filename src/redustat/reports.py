@@ -84,22 +84,21 @@ def quantile(values: Sequence[float], q: float) -> float:
     return data[low] + (data[low + 1] - data[low]) * frac
 
 
-def five_number_summary(values: Sequence[float], whisker: float = 1.5) -> FiveNumberSummary:
-    """Min, quartiles, max, and the points outside ``whisker * IQR``."""
+def five_number_summary(values: Sequence[float]) -> FiveNumberSummary:
+    """Min, quartiles, max, and the points more than 1.5 IQR outside the box."""
     if not values:
         raise ValueError("summary of empty data")
     q1 = quantile(values, 0.25)
     med = quantile(values, 0.5)
     q3 = quantile(values, 0.75)
     iqr = q3 - q1
-    lo = q1 - whisker * iqr
-    hi = q3 + whisker * iqr
+    lo = q1 - 1.5 * iqr
+    hi = q3 + 1.5 * iqr
     outliers = tuple(sorted(v for v in values if v < lo or v > hi))
     return FiveNumberSummary(min(values), q1, med, q3, max(values), outliers)
 
 
-def boxplot_table(records: Sequence[MetricsRecord],
-                  columns: Sequence[str] = PERCENT_COLUMNS) -> dict[str, FiveNumberSummary]:
+def boxplot_table(records: Sequence[MetricsRecord]) -> dict[str, FiveNumberSummary]:
     """Five-number summaries per metric column, in percent units.
 
     Undefined probability cells are excluded from their column, matching the
@@ -108,7 +107,7 @@ def boxplot_table(records: Sequence[MetricsRecord],
     if not records:
         raise ValueError("no records to summarize")
     table = {}
-    for column in columns:
+    for column in PERCENT_COLUMNS:
         values = [getattr(r, column) for r in records]
         values = [v * 100.0 for v in values if v is not None]
         if values:

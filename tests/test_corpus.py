@@ -182,6 +182,48 @@ def test_reports_of_documents_with_one_test_name_do_not_collide(tmp_path):
         assert report["retained"] == [keep]
 
 
+def test_rows_of_documents_with_one_test_name_are_keyed_by_entry(tmp_path):
+    document = {
+        "test_name": "same",
+        "project": "from-document",
+        "source": "lead(); inner();",
+        "nodes": [
+            {"id": 0, "kind": "ExpressionStmt", "has_children": False,
+             "span": [0, 7], "children": []},
+            {"id": 1, "kind": "ExpressionStmt", "has_children": False,
+             "span": [8, 16], "children": []},
+        ],
+        "roots": [0, 1],
+    }
+    (tmp_path / "tests").mkdir()
+    (tmp_path / "tests" / "doc.json").write_text(json.dumps(document),
+                                                 encoding="utf-8")
+    entries = [
+        {"name": name, "project": "p", "tree_file": "tests/doc.json",
+         "oracle": {"mode": "scripted", "failure_sets": [[0]]}}
+        for name in ("first", "second")
+    ]
+    run_corpus(load_corpus_config(write_corpus(tmp_path, entries)))
+    rows = (tmp_path / "out" / "metrics.csv").read_text().splitlines()[1:]
+    assert [row.split(",")[:2] for row in rows] == [["first", "p"],
+                                                    ["second", "p"]]
+
+
+def test_unknown_oracle_key_is_an_entry_error(tmp_path):
+    entries = [
+        entry("good", "a();\nb();\n", [[1]], tmp_path),
+        entry("typo", "c();\nd();\n", [[1]], tmp_path),
+    ]
+    entries[1]["oracle"]["retries_typo"] = 3
+    bundle = run_corpus(load_corpus_config(write_corpus(tmp_path, entries)),
+                        write=False)
+    status = {s.name: s for s in bundle.entry_statuses}
+    assert status["good"].ok
+    assert not status["typo"].ok
+    assert status["typo"].error == ("CorpusConfigError: entry 'typo': "
+                                    "unknown oracle key 'retries_typo'")
+
+
 def test_command_oracle_entries_run_in_scratch_dirs(tmp_path, monkeypatch):
     import sys
     import tempfile

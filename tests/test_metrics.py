@@ -9,7 +9,6 @@ from redustat.metrics import (
     EmptyCorpusError,
     aggregate_means,
     compute_metrics,
-    derive_record_probabilities,
     format_percent,
     metrics_from_reduction,
     read_records_csv,
@@ -169,11 +168,9 @@ def test_csv_tolerates_inconsistent_published_rows():
 def test_derive_probabilities_fills_from_counts():
     text = (",".join(CSV_COLUMNS) + "\n"
             + "t,proj,9,7,2,2,22.22,2,22.22,0,0,,\n")
-    (raw,) = read_records_csv(text)
-    assert raw.prntrs is None
-    derived = derive_record_probabilities(raw)
-    assert derived.prntrs == 2 / 7
-    assert derived.prtrs == 0.0
+    (record,) = read_records_csv(text)
+    assert record.prntrs == 2 / 7
+    assert record.prtrs == 0.0
 
 
 SUMMARY_HEADER = ("n,stmts,ntn,tn,ars,prs,antrs,pntrs,atrs,ptrs,prntrs,prtrs,"

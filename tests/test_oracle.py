@@ -190,6 +190,19 @@ def test_timeout_kills_what_the_command_started(tmp_path):
     assert not marker.exists()
 
 
+def test_run_end_kills_what_the_command_left_running(tmp_path):
+    marker = tmp_path / "marker"
+    config = OracleConfig(
+        command_template=(f"sh -c '(sleep 0.5 && touch {marker}) "
+                          f">/dev/null 2>&1 & exit 1'"),
+        workdir=str(tmp_path),
+        match_policy=MatchPolicy.ANY_FAILURE,
+    )
+    assert command_verdict(config, "x();").status is VerdictStatus.FAIL
+    time.sleep(1.0)
+    assert not marker.exists()
+
+
 def test_spawn_failure_raises(tmp_path):
     config = OracleConfig(
         command_template=f"{tmp_path}/does-not-exist {{candidate}}",

@@ -18,7 +18,7 @@ import json
 import random
 from pathlib import Path
 
-from redustat.metrics import compute_metrics, write_records_csv
+from redustat.metrics import compute_metrics, records_to_csv
 from redustat.model import Category, count_categories
 from redustat.oracle import ScriptedOracle
 from redustat.parser import parse_test
@@ -139,7 +139,8 @@ def main() -> None:
     }
     (OUT / "corpus.json").write_text(
         json.dumps(config, indent=2) + "\n", encoding="utf-8")
-    write_records_csv(records, OUT / "expected_metrics.csv")
+    (OUT / "expected_metrics.csv").write_text(records_to_csv(records),
+                                              encoding="utf-8")
     stmt_total = sum(r.stmts for r in records)
     print(f"wrote 30 tests ({stmt_total} statements), corpus.json, "
           f"expected_metrics.csv under {OUT}")
