@@ -9,7 +9,7 @@ Subcommands:
 - ``redustat replicate --table I|II [--fixture <csv>]``: recompute the
   published analysis from a table fixture.
 - ``redustat stats --csv <file> --cols a,b --test wilcoxon|shapiro``: run one
-  hypothesis test over CSV columns.
+  hypothesis test over columns of a metrics table (as ``corpus`` writes it).
 
 Exit codes: 0 success, 1 entry/reduction errors, 2 usage or config errors.
 """
@@ -17,14 +17,19 @@ Exit codes: 0 success, 1 entry/reduction errors, 2 usage or config errors.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import sys
 from pathlib import Path
 
 from .corpus import CorpusConfigError, load_corpus_config, run_corpus
 from .ingest import SchemaError, ingest_tree
-from .metrics import EmptyCorpusError, format_percent, parse_cell
+from .metrics import (
+    NUMBER_COLUMNS,
+    PERCENT_COLUMNS,
+    EmptyCorpusError,
+    format_percent,
+    read_records_csv,
+)
 from .oracle import (
     MatchPolicy,
     OracleConfig,
@@ -37,7 +42,11 @@ from .replicate import replicate_from_fixtures
 from .stats import StatsError, shapiro_wilk, wilcoxon_signed_rank
 
 #: Matches the first line mentioning a Java-ish failure; group 0 is the signature.
-DEFAULT_SIGNATURE_PATTERN = r"(?:\w+\.)*\w*(?:Error|Exception|Failure)[^\n]*|FAIL(?:URE|ED)?[^\n]*"
+#: The dotted name may only start where no longer one could (not after a word
+#: character or after a word character and a dot), so a long run of word
+#: characters is scanned once instead of once from each of its offsets.
+DEFAULT_SIGNATURE_PATTERN = (r"(?<!\w)(?<!\w\.)(?:\w+\.)*\w*(?:Error|Exception|Failure)[^\n]*"
+                             r"|FAIL(?:URE|ED)?[^\n]*")
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -86,8 +95,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p_repl.add_argument("--output-dir", help="also write the report bundle here")
     p_repl.set_defaults(handler=_cmd_replicate)
 
-    p_stats = sub.add_parser("stats", help="run one hypothesis test over CSV columns")
-    p_stats.add_argument("--csv", required=True, dest="csv_path")
+    p_stats = sub.add_parser("stats",
+                             help="run one hypothesis test over metrics-table columns")
+    p_stats.add_argument("--csv", required=True, dest="csv_path",
+                         help="metrics CSV, as corpus writes it")
     p_stats.add_argument("--cols", required=True,
                          help="column names: one for shapiro, two for wilcoxon")
     p_stats.add_argument("--test", choices=["wilcoxon", "shapiro"], required=True,
@@ -163,39 +174,33 @@ def _cmd_replicate(args) -> int:
 
 def _cmd_stats(args) -> int:
     columns = [c.strip() for c in args.cols.split(",") if c.strip()]
-    table = _read_columns(Path(args.csv_path), columns)
+    unknown = [c for c in columns if c not in NUMBER_COLUMNS]
+    if unknown:
+        raise ValueError(f"not numeric metrics columns: {', '.join(unknown)}")
+    records = read_records_csv(Path(args.csv_path).read_text(encoding="utf-8"))
+
+    def as_printed(record, column):
+        # Percent units, as in the tables and as reports.stats_block feeds
+        # the tests, so ties are the same ones the tables show.
+        value = getattr(record, column)
+        return value * 100.0 if value is not None and column in PERCENT_COLUMNS else value
+
+    rows = [row for record in records
+            if None not in (row := [as_printed(record, c) for c in columns])]
+    samples = [[row[i] for row in rows] for i in range(len(columns))]
     if args.test_name == "shapiro":
         if len(columns) != 1:
             raise ValueError("shapiro needs exactly one column")
-        values = [v for v in table[columns[0]] if v is not None]
-        result = shapiro_wilk(values)
+        result = shapiro_wilk(samples[0])
     else:
         if len(columns) != 2:
             raise ValueError("wilcoxon needs exactly two columns")
-        pairs = [
-            (a, b)
-            for a, b in zip(table[columns[0]], table[columns[1]])
-            if a is not None and b is not None
-        ]
-        result = wilcoxon_signed_rank([p[0] for p in pairs], [p[1] for p in pairs])
+        result = wilcoxon_signed_rank(samples[0], samples[1])
     print(f"method={result.method.value} statistic={result.statistic:g} "
           f"p={result.p_value:.6g} n={result.n_used} "
           f"ties={'yes' if result.ties_present else 'no'} "
           f"zeros_dropped={result.zeros_dropped}")
     return 0
-
-
-def _read_columns(path: Path, columns: list[str]) -> dict[str, list[float | None]]:
-    with path.open(newline="", encoding="utf-8") as handle:
-        reader = csv.DictReader(handle)
-        missing = [c for c in columns if c not in (reader.fieldnames or ())]
-        if missing:
-            raise ValueError(f"columns not in {path.name}: {', '.join(missing)}")
-        table: dict[str, list[float | None]] = {c: [] for c in columns}
-        for row in reader:
-            for column in columns:
-                table[column].append(parse_cell(row[column] or ""))
-    return table
 
 
 if __name__ == "__main__":

@@ -56,7 +56,7 @@ CSV_COLUMNS = ("test", "project", "stmts", "ntn", "tn", "ars", "prs",
 PERCENT_COLUMNS = ("prs", "pntrs", "ptrs", "prntrs", "prtrs")
 
 #: The numeric columns, after the test's name and project.
-_NUMBER_COLUMNS = CSV_COLUMNS[2:]
+NUMBER_COLUMNS = CSV_COLUMNS[2:]
 
 #: The removal probabilities, undefined (``None``) when their category is
 #: empty, each with its ``(removed, total)`` count columns.
@@ -157,7 +157,7 @@ def aggregate_means(records: Sequence[MetricsRecord]) -> MeanSummary:
     n = len(records)
     defined = {column: [value for record in records
                         if (value := getattr(record, column)) is not None]
-               for column in _NUMBER_COLUMNS}
+               for column in NUMBER_COLUMNS}
     return MeanSummary(
         n=n,
         **{column: sum(values) / len(values) if values else None
@@ -185,7 +185,7 @@ def format_percent(fraction: float | None) -> str:
 def record_to_row(record: MetricsRecord) -> list[str]:
     """Cells in ``CSV_COLUMNS`` order: fractions as percentages."""
     row = [record.test_name, record.project]
-    for column in _NUMBER_COLUMNS:
+    for column in NUMBER_COLUMNS:
         value = getattr(record, column)
         row.append(format_percent(value) if column in PERCENT_COLUMNS else str(value))
     return row
@@ -231,7 +231,7 @@ def read_records_csv(text: str) -> list[MetricsRecord]:
                 value = parse_cell(cells[column])
                 value = None if value is None else value / 100.0
                 values[column] = value if column in _PROBABILITIES else value or 0.0
-            for column in _NUMBER_COLUMNS:
+            for column in NUMBER_COLUMNS:
                 if column not in PERCENT_COLUMNS:
                     values[column] = int(cells[column])
         except ValueError as exc:
@@ -257,7 +257,7 @@ def summary_to_csv(summary: MeanSummary) -> str:
         value = getattr(summary, column)
         if column in PERCENT_COLUMNS:
             row.append(format_percent(value))
-        elif column in _NUMBER_COLUMNS:
+        elif column in NUMBER_COLUMNS:
             row.append(f"{value:.4f}")
         else:  # n and the excluded-row counts
             row.append(str(value))

@@ -19,7 +19,9 @@ The full grammar is documented in ``docs/grammar.md``.
 from __future__ import annotations
 
 import re
-from typing import NamedTuple
+from functools import lru_cache
+from itertools import accumulate, compress, repeat
+from operator import eq
 
 from .model import StatementNode, StmtKind, TestCaseAst
 
@@ -41,27 +43,23 @@ class UnsupportedConstructError(StatementSyntaxError):
         super().__init__(f"unsupported construct '{construct}'", line, column)
 
 
-class Token(NamedTuple):
-    text: str
-    start: int
-    end: int
+# Whitespace and comments before a token. Each kind of comment matches only
+# its own extent (a line comment up to the newline, a block comment up to its
+# first "*/") and "/" is punctuation only where it starts no comment, so no
+# token is ever found inside skipped text.
+_SKIP = r"(?:[ \t\r\n]+|//[^\n]*(?![^\n])|/\*[^*]*\*+(?:[^/*][^*]*\*+)*/)*"
 
+# Token classes, first match wins: string or char literal (no raw newline
+# except after a backslash), number, word, punctuation. "NUMERALS" and
+# "DIGITS" are filled per source, see _numerals.
+_TOKEN = r"""
+    "(?:\\.|[^"\\\n])*" | '(?:\\.|[^'\\\n])*'
+  | [\dDIGITS][\w.]*
+  | (?:[^\W\dNUMERALS]|\$)[\w$]*
+  | /(?![/*]) | [(){}\[\];:,.?=+\-*%<>!&|^~@]
+"""
 
-# One alternative per token class. Whitespace and comments are matched but
-# dropped; a block-comment opener matches on its own only when no "*/"
-# follows. A literal holds no raw newline except after a backslash.
-_TOKEN = re.compile(r"""
-    (?P<skip>(?:[ \t\r\n]+|//[^\n]*|/\*.*?\*/)+)
-  | (?P<open_comment>/\*)
-  | (?P<literal>"(?:\\.|[^"\\\n])*"|'(?:\\.|[^'\\\n])*')
-  | (?P<number>\d[\w.]*)
-  | (?P<word>[\w$]+)
-  | (?P<punct>[(){}\[\];:,.?=+\-*/%<>!&|^~@])
-""", re.VERBOSE | re.DOTALL)
-_NUMBER = re.compile(r"[\w.]+")
-
-_OPEN = {"(": ")", "[": "]", "{": "}"}
-_CLOSE = {")", "]", "}"}
+_DEPTH = {"(": 1, "[": 1, "{": 1, ")": -1, "]": -1, "}": -1}
 
 _PRIMITIVES = {
     "int", "long", "short", "byte", "char", "boolean", "float", "double",
@@ -75,39 +73,62 @@ def _line_column(source: str, offset: int) -> tuple[int, int]:
     return source.count("\n", 0, offset) + 1, offset - line_start + 1
 
 
-def tokenize(source: str) -> list[Token]:
-    """Split source into tokens, dropping whitespace and comments.
+def _numerals(source: str) -> str:
+    r"""The characters of ``source`` that ``\w`` matches but that are neither
+    letters nor ``\d`` digits, such as "²" and "½".
+
+    Such a character starts no word: it starts a number when
+    ``str.isdigit()`` holds ("²5") and no token at all otherwise ("½").
+    """
+    if source.isascii():
+        return ""
+    return "".join(sorted(c for c in set(source)
+                          if c.isnumeric() and not c.isalpha() and not c.isdecimal()))
+
+
+@lru_cache(maxsize=16)
+def _patterns(numerals: str) -> tuple[re.Pattern, re.Pattern, re.Pattern]:
+    """The token pattern with the token captured, the same without, and the
+    longest run of skips and tokens from the start of the source."""
+    token = (_TOKEN.replace("DIGITS", re.escape("".join(filter(str.isdigit, numerals))))
+             .replace("NUMERALS", re.escape(numerals)))
+    flags = re.VERBOSE | re.DOTALL
+    return (re.compile(rf"{_SKIP}({token}|\Z)", flags),
+            re.compile(rf"{_SKIP}(?:{token}|\Z)", flags),
+            re.compile(rf"(?:{_SKIP}(?:{token}))*{_SKIP}", flags))
+
+
+def tokenize(source: str) -> tuple[list[str], list[int]]:
+    """Split source into token texts and their end offsets, dropping
+    whitespace and comments; a token starts at its end minus its length.
 
     String and character literals become single tokens so that braces or
     semicolons inside them never affect statement boundaries.
     """
-    tokens: list[Token] = []
-    pos = 0
-    while pos < len(source):
-        match = _TOKEN.match(source, pos)
-        kind = match.lastgroup if match else None
-        if kind == "word" and not _is_word(source[pos]):
-            # \w also matches numerals outside \d: "²" starts a number, as
-            # str.isdigit() says, and "½" starts no token at all.
-            match = _NUMBER.match(source, pos) if source[pos].isdigit() else None
-        if match is None or kind == "open_comment":
-            if kind == "open_comment":
-                message = "unterminated block comment"
-            elif source[pos] in "\"'":
-                message = "unterminated literal"
-            else:
-                message = f"unexpected character {source[pos]!r}"
-            raise StatementSyntaxError(message, *_line_column(source, pos))
-        end = match.end()
-        if kind != "skip":
-            tokens.append(Token(source[pos:end], pos, end))
-        pos = end
-    return tokens
+    captured, whole, valid_prefix = _patterns(_numerals(source))
+    texts = captured.findall(source)
+    # Each piece is the skipped text before a token plus the token, and then
+    # the skipped text at the end, whose captured text is empty (findall may
+    # add one more empty match there). The pieces cover the source exactly
+    # when every character was consumed.
+    ends = list(accumulate(map(len, whole.findall(source))))
+    if ends[-1] != len(source):
+        pos = valid_prefix.match(source).end()
+        if source.startswith("/*", pos):
+            message = "unterminated block comment"
+        elif source[pos] in "\"'":
+            message = "unterminated literal"
+        else:
+            message = f"unexpected character {source[pos]!r}"
+        raise StatementSyntaxError(message, *_line_column(source, pos))
+    count = texts.index("")
+    del texts[count:], ends[count:]
+    return texts, ends
 
 
 def token_texts(source: str) -> list[str]:
     """Token sequence used for whitespace-insensitive source comparison."""
-    return [t.text for t in tokenize(source)]
+    return tokenize(source)[0]
 
 
 # -- parsing ---------------------------------------------------------------
@@ -116,9 +137,18 @@ _UNSUPPORTED_STARTERS = {"switch", "class", "interface", "enum", "record"}
 
 
 class _Parser:
+    """Reads the token texts and end offsets by index.
+
+    ``depth[i]`` is the bracket depth after token ``i``, counting
+    parentheses, brackets and braces alike, so a balanced group or the end
+    of a statement is found by searching these lists rather than stepping
+    through every token.
+    """
+
     def __init__(self, source: str):
         self.source = source
-        self.tokens = tokenize(source)
+        self.texts, self.ends = tokenize(source)
+        self.depth = list(accumulate(map(_DEPTH.get, self.texts, repeat(0))))
         self.pos = 0
 
     # Nodes are built as mutable dicts first, then numbered in depth-first
@@ -145,94 +175,76 @@ class _Parser:
 
     # -- token helpers ---------------------------------------------------
 
-    def _error(self, message: str, tok: Token | None) -> StatementSyntaxError:
-        """The error at ``tok``; with no token, at the last one (or at 1:1)."""
-        if tok is None and self.tokens:
-            tok = self.tokens[-1]
-        return StatementSyntaxError(
-            message, *_line_column(self.source, tok.start if tok else 0))
+    def _start(self, index: int) -> int:
+        return self.ends[index] - len(self.texts[index])
 
-    def _peek(self) -> Token | None:
-        return self.tokens[self.pos] if self.pos < len(self.tokens) else None
+    def _error(self, message: str, index: int | None = None) -> StatementSyntaxError:
+        """The error at token ``index`` (by default the current one); past the
+        end of input, at the last token (or at 1:1)."""
+        index = min(self.pos if index is None else index, len(self.texts) - 1)
+        offset = self._start(index) if index >= 0 else 0
+        return StatementSyntaxError(message, *_line_column(self.source, offset))
 
-    def _next(self, expected: str | None = None) -> Token:
-        tok = self._peek()
-        if tok is None:
+    def _peek(self) -> str | None:
+        return self.texts[self.pos] if self.pos < len(self.texts) else None
+
+    def _next(self, expected: str | None = None) -> int:
+        """Consume the current token and return its index."""
+        text = self._peek()
+        if text is None:
             raise self._error(
-                f"unexpected end of input{f', expected {expected!r}' if expected else ''}",
-                None)
-        if expected is not None and tok.text != expected:
-            raise self._error(f"expected {expected!r}, found {tok.text!r}", tok)
+                f"unexpected end of input{f', expected {expected!r}' if expected else ''}")
+        if expected is not None and text != expected:
+            raise self._error(f"expected {expected!r}, found {text!r}")
         self.pos += 1
-        return tok
+        return self.pos - 1
 
-    def _at(self, text: str) -> bool:
-        tok = self._peek()
-        return tok is not None and tok.text == text
-
-    def _skip_parenthesized(self) -> tuple[int, int]:
-        """Consume a balanced ``( ... )`` group, returning top-level
-        semicolon count and colon count (used to tell ``for`` variants apart)."""
-        self._next("(")
-        depth = 1
-        semis = 0
-        colons = 0
-        while depth > 0:
-            tok = self._next()
-            if tok.text in _OPEN:
-                depth += 1
-            elif tok.text in _CLOSE:
-                depth -= 1
-            elif depth == 1 and tok.text == ";":
-                semis += 1
-            elif depth == 1 and tok.text == ":":
-                colons += 1
-        return semis, colons
+    def _skip_parenthesized(self) -> int:
+        """Consume a balanced ``( ... )`` group, returning the index of its
+        ``(``. Any closer ends the group once the depth is back."""
+        opener = self._next("(")
+        try:
+            self.pos = self.depth.index(self.depth[opener] - 1, opener) + 1
+        except ValueError:
+            raise self._error("unexpected end of input", len(self.texts)) from None
+        return opener
 
     # -- statements ------------------------------------------------------
 
     def parse_statements(self, stop_at_brace: bool) -> list[dict]:
         out = []
         while True:
-            tok = self._peek()
-            if tok is None:
+            text = self._peek()
+            if text is None:
                 if stop_at_brace:
-                    raise self._error("missing closing '}'", None)
+                    raise self._error("missing closing '}'")
                 return out
-            if tok.text == "}":
+            if text == "}":
                 if stop_at_brace:
                     return out
-                raise self._error("unmatched '}'", tok)
+                raise self._error("unmatched '}'")
             out.append(self.parse_statement())
 
     def parse_statement(self) -> dict:
-        tok = self._peek()
-        assert tok is not None
-        text = tok.text
+        first = self.pos
+        text = self.texts[first]
+        start = self._start(first)
         if text in _UNSUPPORTED_STARTERS:
-            raise UnsupportedConstructError(
-                text, *_line_column(self.source, tok.start))
+            raise UnsupportedConstructError(text, *_line_column(self.source, start))
         if text == ";":
             self._next()
-            return self._node(StmtKind.EMPTY, tok.start, tok.end, [])
+            return self._node(StmtKind.EMPTY, start, self.ends[first], [])
         if text == "{":
-            return self._braced(StmtKind.BLOCK, tok.start)
+            return self._braced(StmtKind.BLOCK, start)
         if text == "if":
             return self._if_statement()
         if text == "while":
             self._next()
             self._skip_parenthesized()
-            return self._body_into(StmtKind.WHILE, tok.start)
+            return self._body_into(StmtKind.WHILE, start)
         if text == "for":
             self._next()
-            semis, colons = self._skip_parenthesized()
-            if semis == 2:
-                kind = StmtKind.FOR
-            elif colons >= 1:
-                kind = StmtKind.FOR_EACH
-            else:
-                raise self._error("for header needs either two ';' or a ':'", tok)
-            return self._body_into(kind, tok.start)
+            return self._body_into(self._for_kind(self._skip_parenthesized()), start)
         if text == "do":
             return self._do_while()
         if text == "try":
@@ -240,7 +252,7 @@ class _Parser:
         if text == "synchronized":
             self._next()
             self._skip_parenthesized()
-            return self._body_into(StmtKind.SYNCHRONIZED, tok.start)
+            return self._body_into(StmtKind.SYNCHRONIZED, start)
         if text == "return":
             return self._leaf_to_semicolon(StmtKind.RETURN)
         if text == "throw":
@@ -253,6 +265,17 @@ class _Parser:
             return self._labeled_statement()
         return self._leaf_to_semicolon(None)
 
+    def _for_kind(self, opener: int) -> StmtKind:
+        """FOR with two ';' at the header's own depth, else FOR_EACH with a ':'."""
+        header = slice(opener + 1, self.pos - 1)
+        top = list(compress(self.texts[header],
+                            map(eq, self.depth[header], repeat(self.depth[opener]))))
+        if top.count(";") == 2:
+            return StmtKind.FOR
+        if ":" in top:
+            return StmtKind.FOR_EACH
+        raise self._error("for header needs either two ';' or a ':'", opener - 1)
+
     def _node(self, kind: StmtKind, start: int, end: int, children: list[dict]) -> dict:
         return {"kind": kind, "span": (start, end), "children": children}
 
@@ -260,24 +283,23 @@ class _Parser:
         self._next("{")
         children = self.parse_statements(stop_at_brace=True)
         close = self._next("}")
-        return self._node(kind, start, close.end, children)
+        return self._node(kind, start, self.ends[close], children)
 
     def _body_into(self, kind: StmtKind, start: int) -> dict:
-        tok = self._peek()
-        if tok is None or tok.text != "{":
+        if self._peek() != "{":
             what = "labeled statement" if kind is StmtKind.LABELED else kind.value
-            raise self._error(f"{what} body must be a braced block", tok)
+            raise self._error(f"{what} body must be a braced block")
         return self._braced(kind, start)
 
     def _if_statement(self) -> dict:
-        start = self._next("if").start
+        start = self._start(self._next("if"))
         self._skip_parenthesized()
         node = self._body_into(StmtKind.IF, start)
-        while self._at("else"):
-            self._next("else")
-            chained = self._at("if")
+        while self._peek() == "else":
+            self._next()
+            chained = self._peek() == "if"
             if chained:
-                self._next("if")
+                self._next()
                 self._skip_parenthesized()
             _merge(node, self._body_into(StmtKind.IF, start))
             if not chained:
@@ -285,66 +307,62 @@ class _Parser:
         return node
 
     def _do_while(self) -> dict:
-        start_tok = self._next("do")
-        node = self._body_into(StmtKind.DO_WHILE, start_tok.start)
+        start = self._start(self._next("do"))
+        node = self._body_into(StmtKind.DO_WHILE, start)
         self._next("while")
         self._skip_parenthesized()
-        semi = self._next(";")
-        node["span"] = (start_tok.start, semi.end)
+        node["span"] = (start, self.ends[self._next(";")])
         return node
 
     def _try_statement(self) -> dict:
-        start = self._next("try").start
-        if self._at("("):
+        start = self._start(self._next("try"))
+        if self._peek() == "(":
             self._skip_parenthesized()  # try-with-resources header
         node = self._body_into(StmtKind.TRY, start)
-        while self._at("catch"):
-            self._next("catch")
+        while self._peek() == "catch":
+            self._next()
             self._skip_parenthesized()
             _merge(node, self._body_into(StmtKind.TRY, start))
-        if self._at("finally"):
-            self._next("finally")
+        if self._peek() == "finally":
+            self._next()
             _merge(node, self._body_into(StmtKind.TRY, start))
         return node
 
     def _is_label_start(self) -> bool:
-        tok = self._peek()
-        if tok is None or not _is_word(tok.text):
-            return False
-        after = self.tokens[self.pos + 1] if self.pos + 1 < len(self.tokens) else None
-        return after is not None and after.text == ":"
+        following = self.pos + 1
+        return (following < len(self.texts) and self.texts[following] == ":"
+                and _is_word(self.texts[self.pos]))
 
     def _labeled_statement(self) -> dict:
-        label = self._next()
+        start = self._start(self._next())
         self._next(":")
-        return self._body_into(StmtKind.LABELED, label.start)
+        return self._body_into(StmtKind.LABELED, start)
 
     def _leaf_to_semicolon(self, kind: StmtKind | None) -> dict:
-        """Consume tokens until a ';' at bracket depth zero.
+        """Consume tokens up to the first ';' at the statement's own depth.
 
         Depth counts parentheses, brackets *and* braces, so statement lambdas
-        and anonymous-class bodies stay inside one leaf.
+        and anonymous-class bodies stay inside one leaf. A closer that takes
+        the depth below the statement's own before that ';' is unmatched.
         """
-        start_tok = self._peek()
-        assert start_tok is not None
+        texts, depth = self.texts, self.depth
         first = self.pos
-        depth = 0
-        while True:
-            tok = self._peek()
-            if tok is None:
-                raise self._error("statement not terminated by ';'", start_tok)
-            self.pos += 1
-            if tok.text in _OPEN:
-                depth += 1
-            elif tok.text in _CLOSE:
-                depth -= 1
-                if depth < 0:
-                    raise self._error(f"unmatched {tok.text!r}", tok)
-            elif tok.text == ";" and depth == 0:
-                break
+        base = depth[first - 1] if first else 0
+        try:
+            semi = texts.index(";", first)
+            while depth[semi] != base:
+                semi = texts.index(";", semi + 1)
+        except ValueError:
+            semi = len(texts)
+        if min(depth[first:semi]) < base:
+            unmatched = depth.index(base - 1, first)
+            raise self._error(f"unmatched {texts[unmatched]!r}", unmatched)
+        if semi == len(texts):
+            raise self._error("statement not terminated by ';'", first)
+        self.pos = semi + 1
         if kind is None:
-            kind = _classify_leaf([t.text for t in self.tokens[first:self.pos - 1]])
-        return self._node(kind, start_tok.start, self.tokens[self.pos - 1].end, [])
+            kind = _classify_leaf(texts[first:semi])
+        return self._node(kind, self._start(first), self.ends[semi], [])
 
 
 def _merge(node: dict, branch: dict) -> None:

@@ -1,11 +1,16 @@
 import json
+import os
+import re
+import subprocess
 import sys
 import textwrap
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from redustat.cli import main
+from redustat.cli import DEFAULT_SIGNATURE_PATTERN, main
 
 SYNTHETIC = Path(__file__).resolve().parent.parent / "src" / "redustat" / "data" / "synthetic"
 
@@ -133,13 +138,24 @@ def test_replicate_table2(capsys):
 
 
 def test_stats_command_wilcoxon(tmp_path, capsys):
-    csv_path = tmp_path / "cols.csv"
-    csv_path.write_text("a,b\n1,0\n3,1\n5,1\n2,9\n8,2\n", encoding="utf-8")
-    code = main(["stats", "--csv", str(csv_path), "--cols", "a,b",
+    from redustat.replicate import fixture_text
+
+    csv_path = tmp_path / "table2.csv"
+    csv_path.write_text(fixture_text("table2.csv"), encoding="utf-8")
+    code = main(["stats", "--csv", str(csv_path), "--cols", "pntrs,ptrs",
                  "--test", "wilcoxon"])
     assert code == 0
     out = capsys.readouterr().out
-    assert "statistic=" in out and "p=" in out
+    assert "statistic=465 " in out and "p=" in out
+
+
+def test_stats_fills_empty_probability_cells_from_counts(capsys):
+    # Table I prints some probabilities only as counts; replicate reads
+    # them the same way and gets the published V = 109.5.
+    code = main(["stats", "--csv", str(SYNTHETIC.parent / "table1.csv"),
+                 "--cols", "prntrs,prtrs", "--test", "wilcoxon"])
+    assert code == 0
+    assert "statistic=109.5 " in capsys.readouterr().out
 
 
 def test_stats_command_shapiro_on_fixture(tmp_path, capsys):
@@ -158,6 +174,46 @@ def test_stats_missing_column_exit_2(tmp_path):
     csv_path.write_text("a,b\n1,2\n", encoding="utf-8")
     assert main(["stats", "--csv", str(csv_path), "--cols", "zzz",
                  "--test", "shapiro"]) == 2
+    # A known column, but the file is not a metrics table.
+    assert main(["stats", "--csv", str(csv_path), "--cols", "ptrs",
+                 "--test", "shapiro"]) == 2
+
+
+#: The default signature pattern before it was made linear: the reference
+#: for what it should match.
+QUADRATIC_SIGNATURE_PATTERN = (r"(?:\w+\.)*\w*(?:Error|Exception|Failure)[^\n]*"
+                               r"|FAIL(?:URE|ED)?[^\n]*")
+
+_OUTPUT_PIECES = st.sampled_from([
+    "java", "lang", "AssertionError", "Error", "Exception", "Failure", "FAIL",
+    "FAILED", "FAILURE", "Err", "x", "a1", "_", "é", "²", "1", ".", "..", ":",
+    " ", "\n", "\t", "$", "(", ")", "/", "-", "at org.Foo.bar(Foo.java:12)",
+])
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_OUTPUT_PIECES, max_size=25))
+def test_default_signature_pattern_matches_as_before(pieces):
+    output = "".join(pieces)
+    old = re.search(QUADRATIC_SIGNATURE_PATTERN, output)
+    new = re.search(DEFAULT_SIGNATURE_PATTERN, output)
+    assert (new and new.group(0)) == (old and old.group(0))
+
+
+def test_default_signature_pattern_is_linear_on_a_long_line():
+    # The quadratic pattern took 0.8 s on 8 000 word characters, so it
+    # would take hours here; the child is killed at the timeout.
+    script = textwrap.dedent("""\
+        import re
+        from redustat.cli import DEFAULT_SIGNATURE_PATTERN as pattern
+        for line in ("a" * 1_000_000, "a." * 500_000, "a" * 999_995 + "Error"):
+            match = re.search(pattern, line)
+            assert (match and match.group(0)) == (line if line.endswith("Error") else None)
+        """)
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")])}
+    subprocess.run([sys.executable, "-c", script], env=env, check=True, timeout=30)
 
 
 def test_usage_error_exits_2():

@@ -294,3 +294,27 @@ def test_corpus_records_match_reduction_reports(tmp_path):
         assert record.ars == len(report["removed"])
         assert record.antrs == report["removed_ntn"]
         assert record.atrs == report["removed_tn"]
+
+
+#: Oracle calls per entry of the shipped synthetic corpus, t01 to t30,
+#: baselines included.
+SYNTHETIC_ORACLE_CALLS = [10, 8, 14, 8, 14, 15, 11, 18, 13, 11, 18, 18, 10, 12, 10,
+                          13, 13, 22, 12, 18, 17, 13, 7, 18, 14, 19, 8, 10, 13, 17]
+
+
+def test_synthetic_corpus_oracle_calls_are_pinned():
+    config = load_corpus_config(SYNTHETIC / "corpus.json")
+    bundle = run_corpus(config, write=False)
+    reports = bundle.reduction_reports
+    calls = [report["oracle_calls"] for report in reports]
+    assert calls == SYNTHETIC_ORACLE_CALLS
+    assert sum(calls) == 404
+    for report in reports:
+        assert report["passes"] == 2
+        assert report["oracle_calls"] == 1 + len(report["trace"])
+        # The second pass certifies 1-minimality: it attempts every retained
+        # statement once and rejects each removal.
+        trace, retained = report["trace"], report["retained"]
+        certifying = trace[len(trace) - len(retained):]
+        assert sorted(t["node"] for t in certifying) == retained
+        assert {t["decision"] for t in certifying} == {"rejected"}

@@ -1,10 +1,11 @@
+import itertools
 import re
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from redustat.model import StmtKind, count_categories
+from redustat.model import Category, StmtKind, count_categories
 from redustat.parser import (
     StatementSyntaxError,
     UnsupportedConstructError,
@@ -252,15 +253,118 @@ _SKIPPED = re.compile(r"(?:[ \t\r\n]+|//[^\n]*|/\*.*?\*/)*", re.DOTALL)
 def test_tokens_cover_the_source_between_skipped_gaps(parts, tail):
     source = "".join(sep + fragment for sep, fragment in parts) + tail
     try:
-        tokens = tokenize(source)
+        texts, ends = tokenize(source)
     except StatementSyntaxError as error:
         # "/" next to "*" opens a comment that may never close.
         assert str(error).startswith("unterminated block comment")
         return
+    assert len(texts) == len(ends)
     position = 0
-    for token in tokens:
-        assert token.text == source[token.start:token.end]
-        assert position <= token.start < token.end
-        assert _SKIPPED.fullmatch(source[position:token.start])
-        position = token.end
+    for text, end in zip(texts, ends):
+        start = end - len(text)
+        assert text == source[start:end]
+        assert position <= start < end
+        assert _SKIPPED.fullmatch(source[position:start])
+        position = end
     assert _SKIPPED.fullmatch(source[position:])
+
+
+# -- round trip --------------------------------------------------------------
+
+# Statements are written with one space between tokens; each space becomes a
+# drawn gap, so comments can sit between any two tokens. Literals and
+# comments hold no space.
+_LEAF_TEXTS = [
+    "foo ( ) ;",
+    "int x = 1 ;",
+    "int [ ] xs = { 1 , 2 } ;",
+    "List<String> names = build ( ) ;",
+    "list . forEach ( x -> { consume ( x ) ; } ) ;",
+    "Runnable r = new Runnable ( ) { public void run ( ) { body ( ) ; } } ;",
+    'log ( "a;b}{" ) ;',
+    "char c = ';' ;",
+    "char d = '}' ;",
+    "return x ;",
+    'throw new IllegalStateException ( "}" ) ;',
+    "break ;",
+    "continue ;",
+    ";",
+]
+# Tree statements: the text before each branch, and after the last one.
+_TREE_SHAPES = {
+    "if": ["if ( a < b ) {", "} else if ( c ) {", "} else {", "}"],
+    "for": ["for ( int i = 0 ; i < n ; i ++ ) {", "}"],
+    "foreach": ["for ( String s : items ) {", "}"],
+    "while": ["while ( it . hasNext ( ) ) {", "}"],
+    "do": ["do {", "} while ( x < 3 ) ;"],
+    "try": ["try ( Reader r = open ( ) ) {", "} catch ( IOException e ) {",
+            "} finally {", "}"],
+    "block": ["{", "}"],
+    "synchronized": ["synchronized ( lock ) {", "}"],
+    "labeled": ["outer : {", "}"],
+}
+_GAPS = st.sampled_from([" ", "\n", "\t", "  ", " /*;}*/ ", "//;}\n", "/**/"])
+
+
+@st.composite
+def _statement(draw, depth):
+    """``(leaf text, None)`` or ``(tree shape, branches of statements)``."""
+    if depth == 4 or draw(st.booleans()):
+        return draw(st.sampled_from(_LEAF_TEXTS)), None
+    shape = draw(st.sampled_from(sorted(_TREE_SHAPES)))
+    branches = draw(st.lists(st.lists(_statement(depth + 1), max_size=2),
+                             min_size=1, max_size=len(_TREE_SHAPES[shape]) - 1))
+    return shape, branches
+
+
+def _render_forest(forest, gaps):
+    """Source text, and ``(parent, category, span)`` per statement in pre-order."""
+    parts, expected = [], []
+    gap = itertools.cycle(gaps)
+    position = 0
+
+    def write(text):
+        nonlocal position
+        start = position
+        for piece in text.split(" "):
+            if position > start:
+                parts.append(next(gap))
+                position += len(parts[-1])
+            parts.append(piece)
+            position += len(piece)
+        parts.append(next(gap))
+        position += len(parts[-1])
+        return start, position - len(parts[-1])
+
+    def visit(statement, parent):
+        text, branches = statement
+        index = len(expected)
+        expected.append(None)
+        if branches is None:
+            expected[index] = (parent, Category.NON_TREE, write(text))
+            return
+        shape = _TREE_SHAPES[text]
+        start, _ = write(shape[0])
+        for number, branch in enumerate(branches):
+            if number:
+                write(shape[number])
+            for child in branch:
+                visit(child, index)
+        _, end = write(shape[-1])
+        expected[index] = (parent, Category.TREE, (start, end))
+
+    parts.append(gaps[0])
+    position = len(gaps[0])
+    for statement in forest:
+        visit(statement, None)
+    return "".join(parts), expected
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(_statement(0), min_size=1, max_size=4),
+       st.lists(_GAPS, min_size=1, max_size=8))
+def test_parse_gives_back_a_rendered_forest(forest, gaps):
+    source, expected = _render_forest(forest, gaps)
+    ast = parse_test(source)
+    assert [(node.parent, node.category, node.span)
+            for node in ast.statements] == expected
