@@ -21,7 +21,7 @@ from __future__ import annotations
 import re
 from functools import lru_cache
 from itertools import accumulate, compress, repeat
-from operator import eq
+from operator import eq, itemgetter
 
 from .model import StatementNode, StmtKind, TestCaseAst
 
@@ -47,16 +47,16 @@ class UnsupportedConstructError(StatementSyntaxError):
 # its own extent (a line comment up to the newline, a block comment up to its
 # first "*/") and "/" is punctuation only where it starts no comment, so no
 # token is ever found inside skipped text.
-_SKIP = r"(?:[ \t\r\n]+|//[^\n]*(?![^\n])|/\*[^*]*\*+(?:[^/*][^*]*\*+)*/)*"
+_SKIP = r"[ \t\r\n]*(?:(?://[^\n]*(?![^\n])|/\*[^*]*\*+(?:[^/*][^*]*\*+)*/)[ \t\r\n]*)*"
 
-# Token classes, first match wins: string or char literal (no raw newline
-# except after a backslash), number, word, punctuation. "NUMERALS" and
-# "DIGITS" are filled per source, see _numerals.
+# Token classes, told apart by their first character: word, punctuation,
+# number, string or char literal (no raw newline except after a backslash).
+# "NUMERALS" and "DIGITS" are filled per source, see _numerals.
 _TOKEN = r"""
-    "(?:\\.|[^"\\\n])*" | '(?:\\.|[^'\\\n])*'
+    [^\W\dNUMERALS][\w$]* | \$[\w$]*
+  | [(){}\[\];:,.?=+\-*%<>!&|^~@] | /(?![/*])
   | [\dDIGITS][\w.]*
-  | (?:[^\W\dNUMERALS]|\$)[\w$]*
-  | /(?![/*]) | [(){}\[\];:,.?=+\-*%<>!&|^~@]
+  | "(?:\\.|[^"\\\n])*" | '(?:\\.|[^'\\\n])*'
 """
 
 _DEPTH = {"(": 1, "[": 1, "{": 1, ")": -1, "]": -1, "}": -1}
@@ -87,14 +87,14 @@ def _numerals(source: str) -> str:
 
 
 @lru_cache(maxsize=16)
-def _patterns(numerals: str) -> tuple[re.Pattern, re.Pattern, re.Pattern]:
-    """The token pattern with the token captured, the same without, and the
-    longest run of skips and tokens from the start of the source."""
-    token = (_TOKEN.replace("DIGITS", re.escape("".join(filter(str.isdigit, numerals))))
-             .replace("NUMERALS", re.escape(numerals)))
+def _patterns(numerals: str) -> tuple[re.Pattern, re.Pattern]:
+    """The pattern of one piece, skipped text and a token, capturing both
+    the piece and the token; and the longest run of pieces from the start
+    of a source."""
+    token = (_TOKEN.replace("NUMERALS", re.escape(numerals))
+             .replace("DIGITS", re.escape("".join(filter(str.isdigit, numerals)))))
     flags = re.VERBOSE | re.DOTALL
-    return (re.compile(rf"{_SKIP}({token}|\Z)", flags),
-            re.compile(rf"{_SKIP}(?:{token}|\Z)", flags),
+    return (re.compile(rf"({_SKIP}({token}|\Z))", flags),
             re.compile(rf"(?:{_SKIP}(?:{token}))*{_SKIP}", flags))
 
 
@@ -105,13 +105,12 @@ def tokenize(source: str) -> tuple[list[str], list[int]]:
     String and character literals become single tokens so that braces or
     semicolons inside them never affect statement boundaries.
     """
-    captured, whole, valid_prefix = _patterns(_numerals(source))
-    texts = captured.findall(source)
-    # Each piece is the skipped text before a token plus the token, and then
-    # the skipped text at the end, whose captured text is empty (findall may
-    # add one more empty match there). The pieces cover the source exactly
-    # when every character was consumed.
-    ends = list(accumulate(map(len, whole.findall(source))))
+    piece, valid_prefix = _patterns(_numerals(source))
+    # The last pieces are the skipped text at the end of the source, if any,
+    # and an empty match at the end; their tokens are empty. The pieces
+    # cover the source exactly when every character was consumed.
+    found = piece.findall(source)
+    ends = list(accumulate(map(len, map(itemgetter(0), found))))
     if ends[-1] != len(source):
         pos = valid_prefix.match(source).end()
         if source.startswith("/*", pos):
@@ -121,8 +120,11 @@ def tokenize(source: str) -> tuple[list[str], list[int]]:
         else:
             message = f"unexpected character {source[pos]!r}"
         raise StatementSyntaxError(message, *_line_column(source, pos))
-    count = texts.index("")
-    del texts[count:], ends[count:]
+    texts = list(map(itemgetter(1), found))
+    del texts[-1]
+    if texts and not texts[-1]:
+        del texts[-1]
+    del ends[len(texts):]
     return texts, ends
 
 
