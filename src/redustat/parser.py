@@ -43,15 +43,14 @@ class UnsupportedConstructError(StatementSyntaxError):
         super().__init__(f"unsupported construct '{construct}'", line, column)
 
 
-# Whitespace and comments before a token. Each kind of comment matches only
-# its own extent (a line comment up to the newline, a block comment up to its
-# first "*/") and "/" is punctuation only where it starts no comment, so no
-# token is ever found inside skipped text.
-_SKIP = r"[ \t\r\n]*(?:(?://[^\n]*(?![^\n])|/\*[^*]*\*+(?:[^/*][^*]*\*+)*/)[ \t\r\n]*)*"
+# A comment is a piece of its own, so nothing follows it in the pattern that
+# could make it extend past its end (the first "*/" or the newline).
+_COMMENT = r"//[^\n]*|/\*.*?\*/"
 
-# Token classes, told apart by their first character: word, punctuation,
-# number, string or char literal (no raw newline except after a backslash).
-# "NUMERALS" and "DIGITS" are filled per source, see _numerals.
+# Token classes, told apart by their first character: word, punctuation
+# ("/" only where it starts no comment), number, string or char literal (no
+# raw newline except after a backslash). "NUMERALS" and "DIGITS" are filled
+# per source, see _numerals.
 _TOKEN = r"""
     [^\W\dNUMERALS][\w$]* | \$[\w$]*
   | [(){}\[\];:,.?=+\-*%<>!&|^~@] | /(?![/*])
@@ -88,14 +87,14 @@ def _numerals(source: str) -> str:
 
 @lru_cache(maxsize=16)
 def _patterns(numerals: str) -> tuple[re.Pattern, re.Pattern]:
-    """The pattern of one piece, skipped text and a token, capturing both
-    the piece and the token; and the longest run of pieces from the start
-    of a source."""
+    """The pattern of one piece (whitespace, then a token, a comment or the
+    end of the source), capturing the piece and the token; and the longest
+    run of pieces from the start of a source."""
     token = (_TOKEN.replace("NUMERALS", re.escape(numerals))
              .replace("DIGITS", re.escape("".join(filter(str.isdigit, numerals)))))
     flags = re.VERBOSE | re.DOTALL
-    return (re.compile(rf"({_SKIP}({token}|\Z))", flags),
-            re.compile(rf"(?:{_SKIP}(?:{token}))*{_SKIP}", flags))
+    return (re.compile(rf"([ \t\r\n]*(?:({token})|{_COMMENT}|\Z))", flags),
+            re.compile(rf"(?:[ \t\r\n]*(?:{token}|{_COMMENT}))*[ \t\r\n]*", flags))
 
 
 def tokenize(source: str) -> tuple[list[str], list[int]]:
@@ -106,12 +105,12 @@ def tokenize(source: str) -> tuple[list[str], list[int]]:
     semicolons inside them never affect statement boundaries.
     """
     piece, valid_prefix = _patterns(_numerals(source))
-    # The last pieces are the skipped text at the end of the source, if any,
-    # and an empty match at the end; their tokens are empty. The pieces
-    # cover the source exactly when every character was consumed.
+    # A piece that holds a comment or the end of the source captures an
+    # empty token. The pieces cover the source exactly when every character
+    # was consumed.
     found = piece.findall(source)
-    ends = list(accumulate(map(len, map(itemgetter(0), found))))
-    if ends[-1] != len(source):
+    offsets = list(accumulate(map(len, map(itemgetter(0), found))))
+    if offsets[-1] != len(source):
         pos = valid_prefix.match(source).end()
         if source.startswith("/*", pos):
             message = "unterminated block comment"
@@ -121,11 +120,7 @@ def tokenize(source: str) -> tuple[list[str], list[int]]:
             message = f"unexpected character {source[pos]!r}"
         raise StatementSyntaxError(message, *_line_column(source, pos))
     texts = list(map(itemgetter(1), found))
-    del texts[-1]
-    if texts and not texts[-1]:
-        del texts[-1]
-    del ends[len(texts):]
-    return texts, ends
+    return list(filter(None, texts)), list(compress(offsets, texts))
 
 
 def token_texts(source: str) -> list[str]:
