@@ -210,9 +210,7 @@ def test_default_signature_pattern_is_linear_on_a_long_line():
             match = re.search(pattern, line)
             assert (match and match.group(0)) == (line if line.endswith("Error") else None)
         """)
-    src = Path(__file__).resolve().parent.parent / "src"
-    env = {**os.environ,
-           "PYTHONPATH": os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")])}
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parent.parent / "src")}
     subprocess.run([sys.executable, "-c", script], env=env, check=True, timeout=30)
 
 
