@@ -25,9 +25,9 @@ from .corpus import CorpusConfigError, load_corpus_config, run_corpus
 from .ingest import SchemaError, ingest_tree
 from .metrics import (
     NUMBER_COLUMNS,
-    PERCENT_COLUMNS,
     EmptyCorpusError,
     format_percent,
+    percent_samples,
     read_records_csv,
 )
 from .oracle import (
@@ -179,15 +179,7 @@ def _cmd_stats(args) -> int:
         raise ValueError(f"not numeric metrics columns: {', '.join(unknown)}")
     records = read_records_csv(Path(args.csv_path).read_text(encoding="utf-8"))
 
-    def as_printed(record, column):
-        # Percent units, as in the tables and as reports.stats_block feeds
-        # the tests, so ties are the same ones the tables show.
-        value = getattr(record, column)
-        return value * 100.0 if value is not None and column in PERCENT_COLUMNS else value
-
-    rows = [row for record in records
-            if None not in (row := [as_printed(record, c) for c in columns])]
-    samples = [[row[i] for row in rows] for i in range(len(columns))]
+    samples = percent_samples(records, columns)
     if args.test_name == "shapiro":
         if len(columns) != 1:
             raise ValueError("shapiro needs exactly one column")

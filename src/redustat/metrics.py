@@ -167,6 +167,17 @@ def aggregate_means(records: Sequence[MetricsRecord]) -> MeanSummary:
     )
 
 
+def percent_samples(records: Sequence[MetricsRecord],
+                    columns: Sequence[str]) -> list[list[float]]:
+    """One sample per column, over the records where every one of ``columns``
+    is defined, with percent columns in percent units as the tables print
+    them, so the statistical tests see the ties the tables show."""
+    rows = [row for record in records
+            if None not in (row := [getattr(record, column) for column in columns])]
+    return [[row[i] * 100.0 if column in PERCENT_COLUMNS else row[i] for row in rows]
+            for i, column in enumerate(columns)]
+
+
 # -- CSV transport -----------------------------------------------------------
 
 

@@ -89,11 +89,16 @@ def _numerals(source: str) -> str:
 def _patterns(numerals: str) -> tuple[re.Pattern, re.Pattern]:
     """The pattern of one piece (whitespace, then a token, a comment or the
     end of the source), capturing the piece and the token; and the longest
-    run of pieces from the start of a source."""
+    run of pieces from the start of a source.
+
+    Where no piece starts, the rest of the source is matched uncaptured, so
+    a malformed source is scanned once rather than retried at every later
+    position.
+    """
     token = (_TOKEN.replace("NUMERALS", re.escape(numerals))
              .replace("DIGITS", re.escape("".join(filter(str.isdigit, numerals)))))
     flags = re.VERBOSE | re.DOTALL
-    return (re.compile(rf"([ \t\r\n]*(?:({token})|{_COMMENT}|\Z))", flags),
+    return (re.compile(rf"([ \t\r\n]*(?:({token})|{_COMMENT}|\Z))|.+", flags),
             re.compile(rf"(?:[ \t\r\n]*(?:{token}|{_COMMENT}))*[ \t\r\n]*", flags))
 
 
@@ -106,8 +111,9 @@ def tokenize(source: str) -> tuple[list[str], list[int]]:
     """
     piece, valid_prefix = _patterns(_numerals(source))
     # A piece that holds a comment or the end of the source captures an
-    # empty token. The pieces cover the source exactly when every character
-    # was consumed.
+    # empty token, and the uncaptured rest of a malformed source adds no
+    # length. The pieces cover the source exactly when every character was
+    # consumed.
     found = piece.findall(source)
     offsets = list(accumulate(map(len, map(itemgetter(0), found))))
     if offsets[-1] != len(source):

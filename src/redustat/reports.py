@@ -30,6 +30,7 @@ from .metrics import (
     MetricsRecord,
     PERCENT_COLUMNS,
     aggregate_means,
+    percent_samples,
     records_to_csv,
     summary_to_csv,
 )
@@ -108,8 +109,7 @@ def boxplot_table(records: Sequence[MetricsRecord]) -> dict[str, FiveNumberSumma
         raise ValueError("no records to summarize")
     table = {}
     for column in PERCENT_COLUMNS:
-        values = [getattr(r, column) for r in records]
-        values = [v * 100.0 for v in values if v is not None]
+        [values] = percent_samples(records, [column])
         if values:
             table[column] = five_number_summary(values)
     return table
@@ -178,12 +178,8 @@ def stats_block(records: Sequence[MetricsRecord]) -> dict:
     source tables. The probability comparison pairs only rows where both
     probabilities are defined.
     """
-    pntrs = [r.pntrs * 100.0 for r in records]
-    ptrs = [r.ptrs * 100.0 for r in records]
-    prob_pairs = [(r.prntrs * 100.0, r.prtrs * 100.0) for r in records
-                  if r.prntrs is not None and r.prtrs is not None]
-    prntrs = [pair[0] for pair in prob_pairs]
-    prtrs = [pair[1] for pair in prob_pairs]
+    pntrs, ptrs = percent_samples(records, ["pntrs", "ptrs"])
+    prntrs, prtrs = percent_samples(records, ["prntrs", "prtrs"])
 
     block = {
         "shapiro": {
@@ -196,8 +192,8 @@ def stats_block(records: Sequence[MetricsRecord]) -> dict:
             "pntrs_vs_ptrs": _try_wilcoxon(pntrs, ptrs),
             "prntrs_vs_prtrs": _try_wilcoxon(prntrs, prtrs),
         },
-        "probability_rows_used": len(prob_pairs),
-        "probability_rows_excluded": len(records) - len(prob_pairs),
+        "probability_rows_used": len(prntrs),
+        "probability_rows_excluded": len(records) - len(prntrs),
     }
     def mean(values):
         return sum(values) / len(values) if values else 0.0

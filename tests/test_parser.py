@@ -1,5 +1,10 @@
 import itertools
+import os
 import re
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -267,6 +272,29 @@ def test_tokens_cover_the_source_between_skipped_gaps(parts, tail):
         assert _SKIPPED.fullmatch(source[position:start])
         position = end
     assert _SKIPPED.fullmatch(source[position:])
+
+
+def test_malformed_source_is_rejected_in_linear_time():
+    # Retrying the piece pattern at every position after the first bad one
+    # took 19 s on 20 000 spaces before a "#", so it would take hours here;
+    # the child is killed at the timeout.
+    script = textwrap.dedent("""\
+        from redustat.parser import StatementSyntaxError, tokenize
+        cases = [
+            (" " * 1_000_000 + "#", "unexpected character '#' (line 1, column 1000001)"),
+            ("/* " * 300_000, "unterminated block comment (line 1, column 1)"),
+            ('"\\\\' * 500_000, "unterminated literal (line 1, column 1)"),
+        ]
+        for source, message in cases:
+            try:
+                tokenize(source)
+            except StatementSyntaxError as error:
+                assert str(error) == message, (str(error), message)
+            else:
+                raise AssertionError(f"no error for {source[:10]!r}...")
+        """)
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parent.parent / "src")}
+    subprocess.run([sys.executable, "-c", script], env=env, check=True, timeout=30)
 
 
 # -- round trip --------------------------------------------------------------

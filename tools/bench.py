@@ -2,12 +2,12 @@
 """Run the benchmark on one or more checkouts and record the result lines.
 
 Each checkout is named ``LABEL=DIR``. For every workload, seed and trace
-setting, ``benchmark/run.py`` runs once per checkout from that checkout's
-root, ``--repeat`` times, and the order of the checkouts alternates from one
-repetition to the next. The result line, the ``unmeasured:`` and
-``measured, before rescaling:`` lines, and the checkout's commit id are
-appended to the output file's ``runs``, so several invocations can add to
-one ``BENCH_<n>.json``. Example, from the repository root:
+setting, ``benchmark/run.py`` runs for ``SECONDS`` once per checkout from
+that checkout's root, ``--repeat`` times, and the order of the checkouts
+alternates from one repetition to the next. The result line, the
+``unmeasured:`` and ``measured, before rescaling:`` lines, and the
+checkout's commit id are appended to the output file's ``runs``, so several
+invocations can add to one ``BENCH_<n>.json``. Example, from the repository root:
 
     python3 tools/bench.py BENCH_6.json --checkout parent=../parent --checkout change=.
 """
@@ -21,6 +21,8 @@ import sys
 from pathlib import Path
 
 WORKLOADS = ("scripted-large", "command-oracle", "study")
+#: Length of every run, the same for every checkout so their runs compare.
+SECONDS = 30.0
 PREFIXES = {"unmeasured: ": "unmeasured", "measured, before rescaling: ": "measured"}
 
 
@@ -34,12 +36,12 @@ def commit_of(root: Path) -> str:
     return git("rev-parse", "HEAD") + ("-dirty" if dirty else "")
 
 
-def run_once(root: Path, workload: str, seed: int, seconds: float, trace: int) -> dict:
+def run_once(root: Path, workload: str, seed: int, trace: int) -> dict:
     command = [sys.executable, "benchmark/run.py", "--workload", workload,
-               "--seed", str(seed), "--seconds", str(seconds), "--trace", str(trace)]
+               "--seed", str(seed), "--seconds", str(SECONDS), "--trace", str(trace)]
     done = subprocess.run(command, cwd=root, capture_output=True, text=True)
     lines = done.stdout.splitlines()
-    run = {"workload": workload, "seed": seed, "seconds": seconds, "trace": trace,
+    run = {"workload": workload, "seed": seed, "seconds": SECONDS, "trace": trace,
            "exit": done.returncode}
     for line in lines:
         for prefix, key in PREFIXES.items():
@@ -60,7 +62,6 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--seed", action="append", type=int)
     parser.add_argument("--trace", action="append", type=int, choices=(0, 1))
     parser.add_argument("--repeat", type=int, default=1)
-    parser.add_argument("--seconds", type=float, default=30.0)
     args = parser.parse_args(argv)
 
     checkouts = []
@@ -78,7 +79,7 @@ def main(argv: list[str] | None = None) -> int:
                 for repetition in range(args.repeat):
                     order = checkouts if repetition % 2 == 0 else checkouts[::-1]
                     for label, root, commit in order:
-                        run = run_once(root, workload, seed, args.seconds, trace)
+                        run = run_once(root, workload, seed, trace)
                         record["runs"].append({"label": label, "commit": commit, **run})
                         args.out.write_text(json.dumps(record, indent=1) + "\n")
                         print(f"{label} {workload} seed {seed} trace {trace}: "
