@@ -23,15 +23,17 @@ is an entry error. The corpus ``policy`` sets a command oracle's
 ``match_policy``.
 
 Entries are reduced in parallel up to ``parallelism``; each entry is
-isolated, so one failing entry never corrupts its siblings. Per-entry
-reduction reports (with the removal trace) land in
-``<output_dir>/reductions/<name>.json``, so entry names must be unique and
-must not contain a path separator.
+isolated, so one failing entry never corrupts its siblings. A command runs
+in its entry's ``workdir`` and may write there, so with ``parallelism`` above
+1 no two command entries may share a workdir. Per-entry reduction reports
+(with the removal trace) land in ``<output_dir>/reductions/<name>.json``, so
+entry names must be unique and must not contain a path separator.
 """
 
 from __future__ import annotations
 
 import json
+import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
@@ -106,6 +108,25 @@ class CorpusConfig:
             # The name is the file name of the entry's reduction report.
             if "/" in name or "\\" in name or name in (".", ".."):
                 raise CorpusConfigError(f"entry name {name!r} is not a file name")
+        if self.parallelism > 1:
+            self._check_workdirs_are_not_shared()
+
+    def _check_workdirs_are_not_shared(self) -> None:
+        owners: dict[str, str] = {}
+        for entry in self.entries:
+            spec = entry.oracle_spec
+            if not isinstance(spec, dict) or spec.get("mode") != "command":
+                continue
+            workdir = spec.get("workdir", OracleConfig.workdir)
+            if not isinstance(workdir, str):
+                continue  # the entry fails on its own when it is built
+            workdir = os.path.realpath(workdir)
+            if workdir in owners:
+                raise CorpusConfigError(
+                    f"entries {owners[workdir]!r} and {entry.name!r} both run "
+                    f"their command in {workdir}; with parallelism > 1 each "
+                    f"command entry needs a workdir of its own")
+            owners[workdir] = entry.name
 
 
 def load_corpus_config(path: str | Path) -> CorpusConfig:

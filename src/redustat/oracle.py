@@ -2,8 +2,11 @@
 
 An oracle is any object with a ``match_policy`` and a method
 ``verdict(retained, ast) -> OracleVerdict`` that judges the candidate keeping
-the ``retained`` statement ids of ``ast``. :func:`evaluate` is the single call
-point; the reducer never looks at an oracle's type. Two oracles ship:
+the ``retained`` statement ids of ``ast``. ``retained`` is a read-only set
+that is valid only during the call: the reducer hands out a view of its live
+state, so an oracle that keeps the set must copy it with
+``frozenset(retained)``. :func:`evaluate` is the single call point; the
+reducer never looks at an oracle's type. Two oracles ship:
 
 - :class:`OracleConfig` renders the candidate, writes it to a file in a fresh
   temporary directory, substitutes its path into a command template, and
@@ -37,7 +40,7 @@ import tempfile
 import time
 from dataclasses import dataclass
 from enum import Enum
-from typing import Protocol
+from typing import AbstractSet, Protocol
 
 from .model import TestCaseAst, render
 
@@ -92,11 +95,15 @@ class OracleVerdict:
 
 
 class Oracle(Protocol):
-    """What the reducer needs of an oracle."""
+    """What the reducer needs of an oracle.
+
+    ``retained`` is read-only and valid only during the call; an oracle that
+    keeps it must copy it with ``frozenset(retained)``.
+    """
 
     match_policy: MatchPolicy
 
-    def verdict(self, retained: frozenset[int], ast: TestCaseAst) -> OracleVerdict:
+    def verdict(self, retained: AbstractSet[int], ast: TestCaseAst) -> OracleVerdict:
         ...
 
 
@@ -123,7 +130,7 @@ class OracleConfig:
             raise ValueError("signature_pattern is required under the "
                              "SameSignature policy")
 
-    def verdict(self, retained: frozenset[int], ast: TestCaseAst) -> OracleVerdict:
+    def verdict(self, retained: AbstractSet[int], ast: TestCaseAst) -> OracleVerdict:
         return _run_external_once(self, render(ast, retained))
 
 
@@ -153,20 +160,24 @@ class ScriptedOracle:
         if any(not fs for fs in self.failure_sets):
             raise ValueError("failure sets must be non-empty")
 
-    def fails(self, retained: frozenset[int]) -> bool:
+    def fails(self, retained: AbstractSet[int]) -> bool:
+        # The candidate's own operators: a reducer view answers them at the
+        # cost of the small operand, not of the whole retained set.
         if self.blockers:
-            present = len(self.blockers & retained)
+            present = len(retained & self.blockers)
             if 0 < present < len(self.blockers):
                 return False
-        return any(fs <= retained for fs in self.failure_sets)
+        return any(retained >= fs for fs in self.failure_sets)
 
-    def verdict(self, retained: frozenset[int], ast: TestCaseAst) -> OracleVerdict:
-        if self.fails(retained):
-            return OracleVerdict(VerdictStatus.FAIL, SCRIPTED_SIGNATURE)
-        return OracleVerdict(VerdictStatus.PASS)
+    def verdict(self, retained: AbstractSet[int], ast: TestCaseAst) -> OracleVerdict:
+        return _SCRIPTED_FAIL if self.fails(retained) else _SCRIPTED_PASS
 
 
-def evaluate(oracle: Oracle, retained: frozenset[int],
+_SCRIPTED_FAIL = OracleVerdict(VerdictStatus.FAIL, SCRIPTED_SIGNATURE)
+_SCRIPTED_PASS = OracleVerdict(VerdictStatus.PASS)
+
+
+def evaluate(oracle: Oracle, retained: AbstractSet[int],
              ast: TestCaseAst) -> OracleVerdict:
     """Evaluate the candidate that keeps the ``retained`` statements of ``ast``."""
     return oracle.verdict(retained, ast)

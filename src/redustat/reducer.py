@@ -10,6 +10,11 @@ near the end are attempted before the setup code they depend on.
 A sweep that accepts nothing is the 1-minimality certificate: every single
 subtree removal from the final set was just attempted and rejected.
 
+A sweep keeps the retained ids in one mutable set. Each candidate is a
+read-only view of that set minus the attempted subtree, and an accepted
+candidate is committed by removing the subtree in place, so the reducer's
+bookkeeping per candidate costs the size of the subtree, not of the test.
+
 Invalid verdicts (non-compiling candidates, timeouts) count as "not failing":
 the statement is kept, the standard treatment of unresolved outcomes in
 delta debugging.
@@ -18,6 +23,7 @@ delta debugging.
 from __future__ import annotations
 
 import time
+from collections.abc import Iterable, Set
 from dataclasses import dataclass
 from itertools import combinations
 
@@ -82,8 +88,53 @@ class ReductionOutcome:
         }
 
 
+class _Candidate(Set):
+    """Read-only view of ``kept - dropped``, one candidate's retained ids.
+
+    ``kept`` is the sweep's live retained set and ``dropped`` the attempted
+    subtree's ids within it, so building a candidate and testing it against
+    a small set cost the subtree's size. The view is valid until ``kept``
+    changes; anything that outlives the call needs ``frozenset(view)``.
+    """
+
+    __slots__ = ("kept", "dropped")
+    _from_iterable = frozenset
+
+    def __init__(self, kept: Set[int], dropped: frozenset[int]):
+        self.kept = kept
+        self.dropped = dropped
+
+    def __contains__(self, node_id: object) -> bool:
+        return node_id in self.kept and node_id not in self.dropped
+
+    def __len__(self) -> int:
+        return len(self.kept) - len(self.dropped)
+
+    def __iter__(self):
+        return iter(self.kept - self.dropped)
+
+    def __ge__(self, other: object) -> bool:
+        # frozenset is named before the ABC, whose isinstance check costs
+        # more than the rest of the test.
+        if not isinstance(other, (frozenset, Set)):
+            return NotImplemented
+        # The subtree is checked first: a candidate that drops a needed
+        # statement is rejected at the subtree's cost.
+        return other.isdisjoint(self.dropped) and other <= self.kept
+
+    def __and__(self, other: object) -> frozenset[int]:
+        if not isinstance(other, (frozenset, Iterable)):
+            return NotImplemented
+        return frozenset(other).intersection(self.kept).difference(self.dropped)
+
+    __rand__ = __and__
+
+    def __hash__(self) -> int:
+        return hash(frozenset(self.kept - self.dropped))
+
+
 class _Session:
-    """Shared state for one reduction: oracle plumbing and counters."""
+    """Shared state for one reduction: oracle plumbing, counters, sweep order."""
 
     def __init__(self, ast: TestCaseAst, oracle: Oracle, baseline: str):
         self.ast = ast
@@ -92,39 +143,32 @@ class _Session:
         self.policy = oracle.match_policy
         self.calls = 0
         self.trace: list[TraceEntry] = []
+        nodes = ast.statements
+        #: Trees before leaves, each by descending span start, ties by id.
+        self.order = sorted(range(len(nodes)), key=lambda i: (
+            nodes[i].category is not Category.TREE, -nodes[i].span[0], i))
 
-    def candidate_verdict(self, retained: frozenset[int]) -> OracleVerdict:
+    def accepts(self, retained: Set[int]) -> tuple[bool, OracleVerdict]:
         self.calls += 1
-        return evaluate(self.oracle, retained, self.ast)
-
-    def accepts(self, retained: frozenset[int]) -> tuple[bool, OracleVerdict]:
-        verdict = self.candidate_verdict(retained)
+        verdict = evaluate(self.oracle, retained, self.ast)
         return verdict_accepted(verdict, self.baseline, self.policy), verdict
 
 
 def _sweep(session: _Session,
            retained: frozenset[int]) -> tuple[frozenset[int], bool]:
     ast = session.ast
-    tree_ids = [i for i in retained if ast.node(i).category is Category.TREE]
-    leaf_ids = [i for i in retained if ast.node(i).category is Category.NON_TREE]
-
-    def by_start_desc(node_id: int) -> int:
-        return -ast.node(node_id).span[0]
-
-    tree_ids.sort(key=by_start_desc)
-    leaf_ids.sort(key=by_start_desc)
-
+    kept = set(retained)
     changed = False
-    for node_id in tree_ids + leaf_ids:
-        if node_id not in retained:
-            continue  # removed along with an earlier accepted subtree
-        attempt = retained - ast.subtree_ids(node_id)
-        ok, verdict = session.accepts(attempt)
+    for node_id in session.order:
+        if node_id not in kept:
+            continue  # removed already, or along with an earlier subtree
+        candidate = _Candidate(kept, ast.subtree_ids(node_id) & kept)
+        ok, verdict = session.accepts(candidate)
         session.trace.append(TraceEntry(node_id, ok, verdict.status))
         if ok:
-            retained = attempt
+            kept -= candidate.dropped
             changed = True
-    return retained, changed
+    return frozenset(kept), changed
 
 
 def reduce_test(ast: TestCaseAst, oracle: Oracle) -> ReductionOutcome:
@@ -172,7 +216,8 @@ def verify_one_minimal(ast: TestCaseAst, oracle: Oracle,
         baseline = baseline_signature(oracle, ast)
     session = _Session(ast, oracle, baseline)
     for node_id in retained:
-        ok, _ = session.accepts(retained - ast.subtree_ids(node_id))
+        dropped = ast.subtree_ids(node_id) & retained
+        ok, _ = session.accepts(_Candidate(retained, dropped))
         if ok:
             return False
     return True

@@ -111,6 +111,36 @@ def test_entry_names_that_are_not_file_names_rejected(tmp_path, name):
     assert sorted(p.name for p in tmp_path.iterdir()) == ["corpus.json", "tests"]
 
 
+def command_entry(name, tmp_path, **oracle):
+    (tmp_path / "tests").mkdir(exist_ok=True)
+    (tmp_path / "tests" / f"{name}.java").write_text("a();\n", encoding="utf-8")
+    return {"name": name, "test_file": f"tests/{name}.java",
+            "oracle": {"mode": "command", "command_template": "false", **oracle}}
+
+
+@pytest.mark.parametrize("first, second", [
+    ({}, {}),                                 # both default to "."
+    ({"workdir": "."}, {"workdir": "./"}),    # one directory, spelled twice
+])
+def test_parallel_command_entries_must_not_share_a_workdir(tmp_path, first, second):
+    entries = [command_entry("one", tmp_path, **first),
+               entry("scripted", "a();\n", [[0]], tmp_path),
+               command_entry("two", tmp_path, **second)]
+    with pytest.raises(CorpusConfigError, match="'one' and 'two'"):
+        load_corpus_config(write_corpus(tmp_path, entries, parallelism=2))
+    # One at a time, the entries never run together.
+    assert len(load_corpus_config(write_corpus(tmp_path, entries)).entries) == 3
+
+
+def test_parallel_command_entries_with_own_workdirs_are_accepted(tmp_path):
+    for name in ("w1", "w2"):
+        (tmp_path / name).mkdir()
+    entries = [command_entry("one", tmp_path, workdir=str(tmp_path / "w1")),
+               command_entry("two", tmp_path, workdir=str(tmp_path / "w2"))]
+    config = load_corpus_config(write_corpus(tmp_path, entries, parallelism=2))
+    assert [e.name for e in config.entries] == ["one", "two"]
+
+
 def test_parallel_run_equals_serial_run(tmp_path):
     entries = [
         entry(f"t{i}", f"a{i}();\nb{i}();\nc{i}();\nd{i}();\n", [[i % 4]], tmp_path)

@@ -1,10 +1,23 @@
+import os
 import random
+import subprocess
 import sys
 import textwrap
+from pathlib import Path
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from redustat.model import count_categories
+from redustat import reducer
+from redustat.model import (
+    Category,
+    StatementNode,
+    StmtKind,
+    TestCaseAst,
+    count_categories,
+)
 from redustat.oracle import (
     MatchPolicy,
     OracleConfig,
@@ -16,6 +29,8 @@ from redustat.oracle import (
 from redustat.parser import parse_test, token_texts
 from redustat.reducer import (
     TooLargeError,
+    TraceEntry,
+    _Candidate,
     brute_force_minimal,
     reduce_test,
     verify_one_minimal,
@@ -225,3 +240,150 @@ def test_reduction_with_command_oracle_end_to_end(tmp_path):
     assert token_texts(outcome.minimal_source) == token_texts(
         "if (ready) { mustKeep(); }")
     assert outcome.removed_ntn == 3 and outcome.removed_tn == 0
+
+
+# -- candidates as views of the retained set -----------------------------------
+
+
+def frozenset_sweep(session, retained):
+    """The reference sweep: every candidate is a new frozenset."""
+    ast = session.ast
+    tree_ids = [i for i in retained if ast.node(i).category is Category.TREE]
+    leaf_ids = [i for i in retained if ast.node(i).category is Category.NON_TREE]
+    tree_ids.sort(key=lambda i: -ast.node(i).span[0])
+    leaf_ids.sort(key=lambda i: -ast.node(i).span[0])
+    changed = False
+    for node_id in tree_ids + leaf_ids:
+        if node_id not in retained:
+            continue
+        attempt = retained - ast.subtree_ids(node_id)
+        ok, verdict = session.accepts(attempt)
+        session.trace.append(TraceEntry(node_id, ok, verdict.status))
+        if ok:
+            retained = attempt
+            changed = True
+    return retained, changed
+
+
+def forest_ast(shape):
+    """A test from a pre-order list of ``(depth, is_tree)``, cut to fit.
+
+    A node is one level deeper than the one before it at most, and only
+    below a tree; depths run 0..3.
+    """
+    nodes = []   # [is_tree, child ids]
+    stack = []   # ids of the open trees, outermost first
+    for depth, is_tree in shape:
+        depth = min(depth, len(stack))
+        del stack[depth:]
+        node_id = len(nodes)
+        nodes.append([is_tree, []])
+        if stack:
+            nodes[stack[-1]][1].append(node_id)
+        if is_tree and depth < 3:
+            stack.append(node_id)
+    parents = {child: i for i, (_, children) in enumerate(nodes) for child in children}
+    roots = [i for i in range(len(nodes)) if i not in parents]
+    source, spans = [], {}
+
+    def emit(node_id):
+        start = sum(map(len, source))
+        is_tree, children = nodes[node_id]
+        if is_tree:
+            source.append("{ ")
+            for child in children:
+                emit(child)
+                source.append(" ")
+            source.append("}")
+        else:
+            source.append(f"s{node_id}();")
+        spans[node_id] = (start, sum(map(len, source)))
+
+    for root in roots:
+        emit(root)
+        source.append("\n")
+    statements = tuple(
+        StatementNode(i, StmtKind.BLOCK if is_tree else StmtKind.EXPRESSION,
+                      spans[i], tuple(children), parents.get(i))
+        for i, (is_tree, children) in enumerate(nodes))
+    return TestCaseAst("forest", "".join(source), statements, tuple(roots))
+
+
+class RecordingOracle:
+    """A scripted oracle that notes each candidate's members, size and hash."""
+
+    def __init__(self, scripted):
+        self.scripted = scripted
+        self.match_policy = scripted.match_policy
+        self.seen = []
+
+    def verdict(self, retained, ast):
+        self.seen.append((frozenset(retained), len(retained), hash(retained)))
+        return self.scripted.verdict(retained, ast)
+
+
+_SHAPES = st.lists(st.tuples(st.integers(0, 3), st.booleans()), min_size=1, max_size=60)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_SHAPES, st.data())
+def test_view_sweep_equals_the_frozenset_sweep(shape, data):
+    ast = forest_ast(shape)
+    ids = st.sampled_from(range(ast.total_statements))
+    failure_sets = data.draw(st.lists(st.frozensets(ids, min_size=1, max_size=3),
+                                      min_size=1, max_size=3))
+    blockers = data.draw(st.frozensets(ids, max_size=4))
+    oracle = RecordingOracle(ScriptedOracle(tuple(failure_sets), blockers))
+    with mock.patch.object(reducer, "_sweep", frozenset_sweep):
+        expected = reduce_test(ast, oracle)
+    expected_candidates, oracle.seen = oracle.seen, []
+    outcome = reduce_test(ast, oracle)
+    assert outcome.retained == expected.retained
+    assert outcome.trace == expected.trace
+    assert outcome.oracle_calls == expected.oracle_calls
+    assert outcome.passes == expected.passes
+    assert oracle.seen == expected_candidates
+
+
+def test_flat_test_is_reduced_in_linear_time():
+    # With a new frozenset per candidate, 40 000 leaves took 3.9 s and each
+    # doubling 4-5 times as long, so this would take about a minute; the
+    # child is killed at the timeout.
+    script = textwrap.dedent("""\
+        from redustat.model import StatementNode, StmtKind, TestCaseAst
+        from redustat.oracle import ScriptedOracle
+        from redustat.reducer import reduce_test
+        n = 150_000
+        ast = TestCaseAst("flat", "s();" * n, tuple(
+            StatementNode(i, StmtKind.EXPRESSION, (4 * i, 4 * i + 4))
+            for i in range(n)), tuple(range(n)))
+        outcome = reduce_test(ast, ScriptedOracle((frozenset({n - 1}),)))
+        assert outcome.retained == {n - 1}, sorted(outcome.retained)[:5]
+        assert (outcome.oracle_calls, outcome.passes) == (n + 2, 2)
+        """)
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parent.parent / "src")}
+    subprocess.run([sys.executable, "-c", script], env=env, check=True, timeout=30)
+
+
+_IDS = st.integers(0, 30)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sets(_IDS), st.data(), st.frozensets(_IDS))
+def test_candidate_view_agrees_with_its_frozenset(kept, data, other):
+    dropped = data.draw(st.frozensets(st.sampled_from(sorted(kept)))) if kept else frozenset()
+    view = _Candidate(kept, dropped)
+    expected = frozenset(kept - dropped)
+    assert [i in view for i in range(-1, 32)] == [i in expected for i in range(-1, 32)]
+    assert len(view) == len(expected)
+    assert sorted(view) == sorted(expected)
+    assert (view >= other) == (expected >= other)
+    assert (view <= other) == (expected <= other)
+    assert (other <= view) == (other <= expected)
+    assert (other >= view) == (other >= expected)
+    for intersection in (view & other, other & view):
+        assert type(intersection) is frozenset and intersection == expected & other
+    assert view.isdisjoint(other) == expected.isdisjoint(other)
+    assert view == expected and expected == view
+    assert (view == other) == (expected == other)
+    assert hash(view) == hash(expected)
