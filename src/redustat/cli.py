@@ -17,7 +17,6 @@ Exit codes: 0 success, 1 entry/reduction errors, 2 usage or config errors.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from pathlib import Path
 
@@ -39,6 +38,7 @@ from .oracle import (
 from .parser import StatementSyntaxError, parse_test
 from .reducer import reduce_test
 from .replicate import replicate_from_fixtures
+from .reports import dump_reduction_report
 from .stats import StatsError, shapiro_wilk, wilcoxon_signed_rank
 
 #: Matches the first line mentioning a Java-ish failure; group 0 is the signature.
@@ -124,11 +124,11 @@ def _cmd_reduce(args) -> int:
         else MatchPolicy.ANY_FAILURE,
     )
     outcome = reduce_test(ast, oracle)
-    report = json.dumps(outcome.to_report(), indent=2, sort_keys=True)
+    report = dump_reduction_report(outcome.to_report())
     if args.out:
-        Path(args.out).write_text(report + "\n", encoding="utf-8")
+        Path(args.out).write_text(report, encoding="utf-8")
     else:
-        print(report)
+        sys.stdout.write(report)
     print(f"retained {len(outcome.retained)}/{ast.total_statements} statements "
           f"({outcome.oracle_calls} oracle calls)", file=sys.stderr)
     return 0

@@ -12,7 +12,8 @@ A corpus config is a JSON file::
          "oracle": {"mode": "scripted",
                     "failure_sets": [[3, 5]], "blockers": []}
          # or     {"mode": "command", "command_template": "...",
-         #         "workdir": ".", "timeout_ms": 60000,
+         #         "workdir": ".",             # relative to the config file
+         #         "timeout_ms": 60000,
          #         "fail_exit_codes": [1], "signature_pattern": "..."}
         }, ...]}
 
@@ -24,10 +25,11 @@ is an entry error. The corpus ``policy`` sets a command oracle's
 
 Entries are reduced in parallel up to ``parallelism``; each entry is
 isolated, so one failing entry never corrupts its siblings. A command runs
-in its entry's ``workdir`` and may write there, so with ``parallelism`` above
-1 no two command entries may share a workdir. Per-entry reduction reports
-(with the removal trace) land in ``<output_dir>/reductions/<name>.json``, so
-entry names must be unique and must not contain a path separator.
+in its entry's ``workdir`` (without one, in the current directory) and may
+write there, so with ``parallelism`` above 1 no two command entries may share
+a workdir. Per-entry reduction reports (with the removal trace) land in
+``<output_dir>/reductions/<name>.json``, so entry names must be unique and
+must not contain a path separator.
 """
 
 from __future__ import annotations
@@ -150,12 +152,16 @@ def load_corpus_config(path: str | Path) -> CorpusConfig:
             else:
                 raise CorpusConfigError(
                     f"entry {raw_entry.get('name')!r} needs test_file or tree_file")
+            oracle_spec = raw_entry["oracle"]
+            workdir = oracle_spec.get("workdir") if isinstance(oracle_spec, dict) else None
+            if isinstance(workdir, str):
+                oracle_spec = {**oracle_spec, "workdir": str(base / workdir)}
             entries.append(CorpusEntry(
                 name=raw_entry["name"],
                 project=raw_entry.get("project", ""),
                 test_path=test_path,
                 is_tree_document=is_tree,
-                oracle_spec=raw_entry["oracle"],
+                oracle_spec=oracle_spec,
             ))
         return CorpusConfig(
             corpus_name=raw["corpus_name"],

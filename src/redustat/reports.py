@@ -10,6 +10,9 @@ produces. Written to a directory it becomes:
   and the claim verdict lines
 - ``boxplot.json``  five-number summaries (plus outliers) per column
 - ``report.json``   provenance, per-entry statuses, claim lines
+- ``reductions/<name>.json``  one reduction report per ok entry, with its
+  removal trace, as one line of JSON (``python -m json.tool`` pretty-prints
+  it); the other JSON files are indented
 
 Identical inputs give byte-identical files, except ``report.json`` whose
 provenance carries a timestamp (and, after live reductions, wall times in
@@ -265,7 +268,7 @@ class ReportBundle:
             names = [status.name for status in self.entry_statuses if status.ok]
             for name, reduction in zip(names, self.reduction_reports, strict=True):
                 path = reductions / f"{name}.json"
-                path.write_text(_dump_json(reduction), encoding="utf-8")
+                path.write_text(dump_reduction_report(reduction), encoding="utf-8")
         return out
 
 
@@ -299,3 +302,8 @@ def make_provenance(source: str) -> dict:
 
 def _dump_json(payload) -> str:
     return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+
+
+def dump_reduction_report(report: dict) -> str:
+    """One line of JSON: ``indent`` would swap in json's pure-Python encoder."""
+    return json.dumps(report, sort_keys=True) + "\n"

@@ -41,11 +41,19 @@ def test_reduce_command(failing_test, tmp_path, capsys):
                  "--policy", "same", "--timeout", "30000",
                  "--out", str(out)])
     assert code == 0
-    report = json.loads(out.read_text())
+    text = out.read_text()
+    assert text.count("\n") == 1 and text.endswith("\n")
+    report = json.loads(text)
     assert report["retained"] == [2]
     assert report["removed_ntn"] == 3
     summary = capsys.readouterr()
     assert "retained 1/4 statements" in summary.err
+    # Without --out the report is printed in the same encoding.
+    assert main(["reduce", str(test), "--oracle-cmd", oracle_cmd,
+                 "--policy", "same", "--timeout", "30000"]) == 0
+    printed = capsys.readouterr().out
+    assert printed.count("\n") == 1
+    assert json.loads(printed).keys() == report.keys()
 
 
 def test_reduce_passing_test_exits_1(tmp_path, failing_test):

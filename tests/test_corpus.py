@@ -12,6 +12,7 @@ from redustat.metrics import EmptyCorpusError
 from redustat.reducer import reduce_test
 
 SYNTHETIC = Path(__file__).resolve().parent.parent / "src" / "redustat" / "data" / "synthetic"
+PINNED_BUNDLE = Path(__file__).resolve().parent / "fixtures" / "synthetic_bundle"
 
 
 def write_corpus(tmp_path, entries, **overrides):
@@ -139,6 +140,33 @@ def test_parallel_command_entries_with_own_workdirs_are_accepted(tmp_path):
                command_entry("two", tmp_path, workdir=str(tmp_path / "w2"))]
     config = load_corpus_config(write_corpus(tmp_path, entries, parallelism=2))
     assert [e.name for e in config.entries] == ["one", "two"]
+
+
+def test_relative_command_workdir_is_relative_to_the_config(tmp_path, monkeypatch):
+    import shutil
+    import sys
+
+    from redustat.cli import main
+
+    work = tmp_path / "work"
+    work.mkdir()
+    shutil.copy(Path(__file__).resolve().parent / "fixtures" / "assert_oracle.py",
+                work / "oracle.py")
+    entries = [command_entry("cmd", tmp_path, workdir="work",
+                             command_template=f"{sys.executable} oracle.py {{candidate}}")]
+    (tmp_path / "tests" / "cmd.java").write_text("setup();\nexplode();\n",
+                                                 encoding="utf-8")
+    config = write_corpus(tmp_path, entries, policy="any")
+    elsewhere = tmp_path / "elsewhere"
+    elsewhere.mkdir()
+    monkeypatch.chdir(elsewhere)
+    assert main(["corpus", str(config)]) == 0
+    report = json.loads((tmp_path / "out" / "reductions" / "cmd.json").read_text())
+    assert report["retained"] == [1]
+    # The shared-workdir check compares the directories the commands use.
+    entries.append(command_entry("abs", tmp_path, workdir=str(work)))
+    with pytest.raises(CorpusConfigError, match="'cmd' and 'abs'"):
+        load_corpus_config(write_corpus(tmp_path, entries, parallelism=2))
 
 
 def test_parallel_run_equals_serial_run(tmp_path):
@@ -312,6 +340,10 @@ def test_shipped_synthetic_corpus_matches_pinned_expectations(tmp_path):
     produced = (tmp_path / "out" / "metrics.csv").read_bytes()
     expected = (SYNTHETIC / "expected_metrics.csv").read_bytes()
     assert produced == expected
+    # The other byte-stable files of the bundle, as pinned in the fixtures.
+    for name in ("means.csv", "stats.json", "boxplot.json"):
+        assert (tmp_path / "out" / name).read_bytes() == \
+            (PINNED_BUNDLE / name).read_bytes(), name
 
 
 def test_corpus_records_match_reduction_reports(tmp_path):

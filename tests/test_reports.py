@@ -117,6 +117,37 @@ def test_bundle_files_exist_and_parse(tmp_path):
     assert len(report["provenance"]["config_hash"]) == 64
 
 
+def _bundle_with_traces(records, trace_length):
+    names = ["alpha", "beta"]
+    reports = [{"test_name": name, "oracle_calls": trace_length + 1,
+                "trace": [{"node": i, "decision": "rejected" if i % 3 else "accepted"}
+                          for i in range(trace_length)]}
+               for name in names]
+    return assemble_bundle("rewrite", records, "src",
+                           entry_statuses=[EntryStatus(name, True) for name in names],
+                           reduction_reports=reports)
+
+
+def test_rewriting_a_bundle_leaves_no_stale_bytes(tmp_path):
+    records = load_fixture_records("I")
+    _bundle_with_traces(records, 400).write(tmp_path / "reused")
+    second = _bundle_with_traces(records[:4], 20)
+    second.write(tmp_path / "reused")
+    second.write(tmp_path / "fresh")
+    fresh = sorted(p.relative_to(tmp_path / "fresh")
+                   for p in (tmp_path / "fresh").rglob("*") if p.is_file())
+    reused = sorted(p.relative_to(tmp_path / "reused")
+                    for p in (tmp_path / "reused").rglob("*") if p.is_file())
+    assert reused == fresh
+    for name in fresh:
+        assert (tmp_path / "reused" / name).read_bytes() == \
+            (tmp_path / "fresh" / name).read_bytes()
+    for status, report in zip(second.entry_statuses, second.reduction_reports):
+        text = (tmp_path / "reused" / "reductions" / f"{status.name}.json").read_text()
+        assert text.count("\n") == 1 and text.endswith("\n")
+        assert json.loads(text) == report
+
+
 def test_empty_summaries_are_rejected():
     with pytest.raises(ValueError):
         five_number_summary([])
