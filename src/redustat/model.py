@@ -7,17 +7,20 @@ everything else (expression statements, declarations, ``return``, ...) is a
 statement kind, never by whether children happen to be present: an ``if`` with
 an empty body is still a tree statement.
 
-Invariants enforced on construction:
+Invariants enforced on construction, in one walk over the statements:
 
 - node ids form the contiguous range ``0..n-1``,
+- spans lie within the source,
 - leaves have no children,
+- every child exists and links back to its parent; roots have no parent,
 - child spans nest strictly inside their parent's span,
-- sibling spans (including the roots) are disjoint and in source order.
+- sibling spans (including the roots) are disjoint and in source order,
+- every node is reached from the roots exactly once.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from typing import Iterable, Iterator
 
@@ -102,8 +105,10 @@ class TestCaseAst:
     """A named test with an ordered forest of statements.
 
     ``statements`` is indexed by node id (ids are contiguous from 0, assigned
-    in depth-first pre-order by the parser). Instances are immutable and safe
-    to share between threads.
+    in depth-first pre-order by the parser). ``tree_ids`` holds the ids of the
+    tree statements; it is computed by the validation walk, so readers test
+    membership there instead of asking each node for its category. Instances
+    are immutable and safe to share between threads.
     """
 
     __test__ = False  # domain type, not a pytest suite
@@ -113,9 +118,10 @@ class TestCaseAst:
     statements: tuple[StatementNode, ...]
     roots: tuple[int, ...]
     project: str = ""
+    tree_ids: frozenset[int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        _validate(self)
+        object.__setattr__(self, "tree_ids", _validate(self))
 
     # -- lookups ---------------------------------------------------------
 
@@ -131,6 +137,8 @@ class TestCaseAst:
 
     def subtree_ids(self, node_id: int) -> frozenset[int]:
         """The node itself plus every transitive descendant."""
+        if not self.statements[node_id].children:
+            return frozenset((node_id,))
         out = []
         stack = [node_id]
         while stack:
@@ -165,7 +173,7 @@ def count_categories(ast: TestCaseAst) -> tuple[int, int, int]:
 
     Counts include nested statements at every depth.
     """
-    tn = sum(1 for node in ast.statements if node.category is Category.TREE)
+    tn = len(ast.tree_ids)
     return len(ast.statements), len(ast.statements) - tn, tn
 
 
@@ -199,50 +207,69 @@ def render(ast: TestCaseAst, retained: Iterable[int]) -> str:
     return "".join(pieces)
 
 
-def _validate(ast: TestCaseAst) -> None:
-    n = len(ast.statements)
-    for index, node in enumerate(ast.statements):
+def _validate(ast: TestCaseAst) -> frozenset[int]:
+    """Check the invariants in one walk over the statements; return the ids
+    of the tree statements.
+
+    Each child's parent link is checked, so a node can only be listed under
+    its own parent, and spans nest strictly, so the links have no cycle.
+    Every node listed exactly once, as a root or as a child, is then reached
+    from the roots exactly once.
+    """
+    statements = ast.statements
+    n = len(statements)
+    source_len = len(ast.source)
+    listed = bytearray(n)
+    tree_ids = []
+    for index, node in enumerate(statements):
         if node.id != index:
             raise ModelError(f"statement ids must be contiguous from 0; "
                              f"position {index} holds id {node.id}")
         start, end = node.span
-        if not (0 <= start <= end <= len(ast.source)):
-            raise ModelError(f"node {node.id}: span {node.span} outside source")
-        if node.category is Category.NON_TREE and node.children:
-            raise ModelError(f"node {node.id}: {node.kind.value} is a leaf kind "
+        if not (0 <= start <= end <= source_len):
+            raise ModelError(f"node {index}: span {node.span} outside source")
+        if node.kind in TREE_KINDS:
+            tree_ids.append(index)
+        elif node.children:
+            raise ModelError(f"node {index}: {node.kind.value} is a leaf kind "
                              f"but has children")
+        if not node.children:
+            continue
         for child_id in node.children:
             if not 0 <= child_id < n:
-                raise ModelError(f"node {node.id}: child {child_id} out of range")
-            child = ast.statements[child_id]
-            if child.parent != node.id:
+                raise ModelError(f"node {index}: child {child_id} out of range")
+            child = statements[child_id]
+            if child.parent != index:
                 raise ModelError(f"node {child_id}: parent link does not match "
-                                 f"its position under node {node.id}")
+                                 f"its position under node {index}")
             if not (start < child.span[0] and child.span[1] < end):
                 raise ModelError(f"node {child_id}: span {child.span} not strictly "
                                  f"inside parent span {node.span}")
-        _check_sibling_order(ast, node.children, f"children of node {node.id}")
+        _check_siblings(statements, node.children, listed, f"children of node {index}")
 
     for root_id in ast.roots:
-        if ast.statements[root_id].parent is not None:
+        if not 0 <= root_id < n:
+            raise ModelError(f"root {root_id} out of range")
+        if statements[root_id].parent is not None:
             raise ModelError(f"root {root_id} has a parent")
-    _check_sibling_order(ast, ast.roots, "roots")
+    _check_siblings(statements, ast.roots, listed, "roots")
 
-    reachable = set()
-    for root_id in ast.roots:
-        for node_id in ast.subtree_ids(root_id):
-            if node_id in reachable:
-                raise ModelError(f"node {node_id} reachable twice")
-            reachable.add(node_id)
-    if len(reachable) != n:
+    if listed.count(1) != n:
         raise ModelError("statements not reachable from roots: "
-                         f"{sorted(set(range(n)) - reachable)}")
+                         f"{[i for i in range(n) if not listed[i]]}")
+    return frozenset(tree_ids)
 
 
-def _check_sibling_order(ast: TestCaseAst, ids: tuple[int, ...], what: str) -> None:
+def _check_siblings(statements: tuple[StatementNode, ...], ids: tuple[int, ...],
+                    listed: bytearray, what: str) -> None:
+    """Check that sibling spans are in source order, and mark each sibling
+    as listed."""
     prev_end = -1
     for node_id in ids:
-        start, end = ast.statements[node_id].span
+        start, end = statements[node_id].span
         if start < prev_end:
             raise ModelError(f"{what}: spans overlap or are out of source order")
         prev_end = end
+        if listed[node_id]:
+            raise ModelError(f"node {node_id} reachable twice")
+        listed[node_id] = 1

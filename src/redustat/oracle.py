@@ -5,8 +5,13 @@ An oracle is any object with a ``match_policy`` and a method
 the ``retained`` statement ids of ``ast``. ``retained`` is a read-only set
 that is valid only during the call: the reducer hands out a view of its live
 state, so an oracle that keeps the set must copy it with
-``frozenset(retained)``. :func:`evaluate` is the single call point; the
-reducer never looks at an oracle's type. Two oracles ship:
+``frozenset(retained)``. The view's own operators cost the attempted
+subtree's size. Its live state shrinks only when the reducer commits an
+accepted candidate, so ``retained >= fs`` on a frozenset ``fs`` is remembered
+for the rest of the sweep, until a commit removes one of ``fs``'s members;
+asked again, it costs the subtree's size, not ``fs``'s. :func:`evaluate` is
+the single call point; the reducer never looks at an oracle's type. Two
+oracles ship:
 
 - :class:`OracleConfig` renders the candidate, writes it to a file in a fresh
   temporary directory, substitutes its path into a command template, and
@@ -162,7 +167,8 @@ class ScriptedOracle:
 
     def fails(self, retained: AbstractSet[int]) -> bool:
         # The candidate's own operators: a reducer view answers them at the
-        # cost of the small operand, not of the whole retained set.
+        # cost of the attempted subtree, not of the retained set or of a
+        # failure set it was already compared with in this sweep.
         if self.blockers:
             present = len(retained & self.blockers)
             if 0 < present < len(self.blockers):

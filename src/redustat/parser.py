@@ -153,27 +153,23 @@ class _Parser:
         self.texts, self.ends = tokenize(source)
         self.depth = list(accumulate(map(_DEPTH.get, self.texts, repeat(0))))
         self.pos = 0
+        self.nodes: list[StatementNode | None] = []
 
-    # Nodes are built as mutable dicts first, then numbered in depth-first
-    # pre-order and frozen into StatementNode tuples.
+    # Nodes are numbered in depth-first pre-order as the parser descends: a
+    # tree statement reserves its id before its children take theirs, and its
+    # node fills that slot once its last branch has been read.
 
     def parse_body(self) -> tuple[tuple[StatementNode, ...], tuple[int, ...]]:
-        forest = self.parse_statements(stop_at_brace=False)
-        nodes: list[StatementNode] = []
-        roots = tuple(self._freeze(tree, None, nodes) for tree in forest)
-        return tuple(nodes), roots
+        roots = tuple(self.parse_statements(None, stop_at_brace=False))
+        return tuple(self.nodes), roots  # type: ignore[arg-type]  # slots filled
 
-    def _freeze(self, tree: dict, parent: int | None, out: list[StatementNode]) -> int:
-        node_id = len(out)
-        out.append(None)  # type: ignore[arg-type]  # reserve pre-order slot
-        child_ids = tuple(self._freeze(c, node_id, out) for c in tree["children"])
-        out[node_id] = StatementNode(
-            id=node_id,
-            kind=tree["kind"],
-            span=tree["span"],
-            children=child_ids,
-            parent=parent,
-        )
+    def _reserve(self) -> int:
+        self.nodes.append(None)
+        return len(self.nodes) - 1
+
+    def _tree(self, node_id: int, kind: StmtKind, span: tuple[int, int],
+              children: list[int], parent: int | None) -> int:
+        self.nodes[node_id] = StatementNode(node_id, kind, span, tuple(children), parent)
         return node_id
 
     # -- token helpers ---------------------------------------------------
@@ -214,7 +210,9 @@ class _Parser:
 
     # -- statements ------------------------------------------------------
 
-    def parse_statements(self, stop_at_brace: bool) -> list[dict]:
+    def parse_statements(self, parent: int | None, stop_at_brace: bool) -> list[int]:
+        """Parse statements up to the closing brace (or the end of input),
+        returning their ids."""
         out = []
         while True:
             text = self._peek()
@@ -226,9 +224,9 @@ class _Parser:
                 if stop_at_brace:
                     return out
                 raise self._error("unmatched '}'")
-            out.append(self.parse_statement())
+            out.append(self.parse_statement(parent))
 
-    def parse_statement(self) -> dict:
+    def parse_statement(self, parent: int | None) -> int:
         first = self.pos
         text = self.texts[first]
         start = self._start(first)
@@ -236,37 +234,38 @@ class _Parser:
             raise UnsupportedConstructError(text, *_line_column(self.source, start))
         if text == ";":
             self._next()
-            return self._node(StmtKind.EMPTY, start, self.ends[first], [])
+            return self._leaf(StmtKind.EMPTY, (start, self.ends[first]), parent)
         if text == "{":
-            return self._braced(StmtKind.BLOCK, start)
+            return self._single_body(StmtKind.BLOCK, start, parent)
         if text == "if":
-            return self._if_statement()
+            return self._if_statement(parent)
         if text == "while":
             self._next()
             self._skip_parenthesized()
-            return self._body_into(StmtKind.WHILE, start)
+            return self._single_body(StmtKind.WHILE, start, parent)
         if text == "for":
             self._next()
-            return self._body_into(self._for_kind(self._skip_parenthesized()), start)
+            kind = self._for_kind(self._skip_parenthesized())
+            return self._single_body(kind, start, parent)
         if text == "do":
-            return self._do_while()
+            return self._do_while(parent)
         if text == "try":
-            return self._try_statement()
+            return self._try_statement(parent)
         if text == "synchronized":
             self._next()
             self._skip_parenthesized()
-            return self._body_into(StmtKind.SYNCHRONIZED, start)
+            return self._single_body(StmtKind.SYNCHRONIZED, start, parent)
         if text == "return":
-            return self._leaf_to_semicolon(StmtKind.RETURN)
+            return self._leaf_to_semicolon(StmtKind.RETURN, parent)
         if text == "throw":
-            return self._leaf_to_semicolon(StmtKind.THROW)
+            return self._leaf_to_semicolon(StmtKind.THROW, parent)
         if text == "break":
-            return self._leaf_to_semicolon(StmtKind.BREAK)
+            return self._leaf_to_semicolon(StmtKind.BREAK, parent)
         if text == "continue":
-            return self._leaf_to_semicolon(StmtKind.CONTINUE)
+            return self._leaf_to_semicolon(StmtKind.CONTINUE, parent)
         if self._is_label_start():
-            return self._labeled_statement()
-        return self._leaf_to_semicolon(None)
+            return self._labeled_statement(parent)
+        return self._leaf_to_semicolon(None, parent)
 
     def _for_kind(self, opener: int) -> StmtKind:
         """FOR with two ';' at the header's own depth, else FOR_EACH with a ':'."""
@@ -279,69 +278,83 @@ class _Parser:
             return StmtKind.FOR_EACH
         raise self._error("for header needs either two ';' or a ':'", opener - 1)
 
-    def _node(self, kind: StmtKind, start: int, end: int, children: list[dict]) -> dict:
-        return {"kind": kind, "span": (start, end), "children": children}
+    def _leaf(self, kind: StmtKind, span: tuple[int, int], parent: int | None) -> int:
+        self.nodes.append(StatementNode(len(self.nodes), kind, span, (), parent))
+        return len(self.nodes) - 1
 
-    def _braced(self, kind: StmtKind, start: int) -> dict:
-        self._next("{")
-        children = self.parse_statements(stop_at_brace=True)
-        close = self._next("}")
-        return self._node(kind, start, self.ends[close], children)
-
-    def _body_into(self, kind: StmtKind, start: int) -> dict:
+    def _body(self, kind: StmtKind, node_id: int, children: list[int]) -> int:
+        """Parse a braced body whose statements become children of
+        ``node_id``; return the end offset of its ``}``."""
         if self._peek() != "{":
             what = "labeled statement" if kind is StmtKind.LABELED else kind.value
             raise self._error(f"{what} body must be a braced block")
-        return self._braced(kind, start)
+        self._next("{")
+        children += self.parse_statements(node_id, stop_at_brace=True)
+        return self.ends[self._next("}")]
 
-    def _if_statement(self) -> dict:
+    def _single_body(self, kind: StmtKind, start: int, parent: int | None) -> int:
+        node_id = self._reserve()
+        children: list[int] = []
+        end = self._body(kind, node_id, children)
+        return self._tree(node_id, kind, (start, end), children, parent)
+
+    def _if_statement(self, parent: int | None) -> int:
+        """An ``if``/``else if``/``else`` chain is one node; the branches'
+        statements are its children in source order."""
         start = self._start(self._next("if"))
         self._skip_parenthesized()
-        node = self._body_into(StmtKind.IF, start)
+        node_id = self._reserve()
+        children: list[int] = []
+        end = self._body(StmtKind.IF, node_id, children)
         while self._peek() == "else":
             self._next()
             chained = self._peek() == "if"
             if chained:
                 self._next()
                 self._skip_parenthesized()
-            _merge(node, self._body_into(StmtKind.IF, start))
+            end = self._body(StmtKind.IF, node_id, children)
             if not chained:
                 break
-        return node
+        return self._tree(node_id, StmtKind.IF, (start, end), children, parent)
 
-    def _do_while(self) -> dict:
+    def _do_while(self, parent: int | None) -> int:
         start = self._start(self._next("do"))
-        node = self._body_into(StmtKind.DO_WHILE, start)
+        node_id = self._reserve()
+        children: list[int] = []
+        self._body(StmtKind.DO_WHILE, node_id, children)
         self._next("while")
         self._skip_parenthesized()
-        node["span"] = (start, self.ends[self._next(";")])
-        return node
+        end = self.ends[self._next(";")]
+        return self._tree(node_id, StmtKind.DO_WHILE, (start, end), children, parent)
 
-    def _try_statement(self) -> dict:
+    def _try_statement(self, parent: int | None) -> int:
+        """``try``, its ``catch`` clauses and ``finally`` are one node."""
         start = self._start(self._next("try"))
         if self._peek() == "(":
             self._skip_parenthesized()  # try-with-resources header
-        node = self._body_into(StmtKind.TRY, start)
+        node_id = self._reserve()
+        children: list[int] = []
+        end = self._body(StmtKind.TRY, node_id, children)
         while self._peek() == "catch":
             self._next()
             self._skip_parenthesized()
-            _merge(node, self._body_into(StmtKind.TRY, start))
+            end = self._body(StmtKind.TRY, node_id, children)
         if self._peek() == "finally":
             self._next()
-            _merge(node, self._body_into(StmtKind.TRY, start))
-        return node
+            end = self._body(StmtKind.TRY, node_id, children)
+        return self._tree(node_id, StmtKind.TRY, (start, end), children, parent)
 
     def _is_label_start(self) -> bool:
         following = self.pos + 1
         return (following < len(self.texts) and self.texts[following] == ":"
                 and _is_word(self.texts[self.pos]))
 
-    def _labeled_statement(self) -> dict:
+    def _labeled_statement(self, parent: int | None) -> int:
         start = self._start(self._next())
         self._next(":")
-        return self._body_into(StmtKind.LABELED, start)
+        return self._single_body(StmtKind.LABELED, start, parent)
 
-    def _leaf_to_semicolon(self, kind: StmtKind | None) -> dict:
+    def _leaf_to_semicolon(self, kind: StmtKind | None, parent: int | None) -> int:
         """Consume tokens up to the first ';' at the statement's own depth.
 
         Depth counts parentheses, brackets *and* braces, so statement lambdas
@@ -365,13 +378,7 @@ class _Parser:
         self.pos = semi + 1
         if kind is None:
             kind = _classify_leaf(texts[first:semi])
-        return self._node(kind, self._start(first), self.ends[semi], [])
-
-
-def _merge(node: dict, branch: dict) -> None:
-    """Append a further branch (else, catch, finally) to a flattened node."""
-    node["children"].extend(branch["children"])
-    node["span"] = (node["span"][0], branch["span"][1])
+        return self._leaf(kind, (self._start(first), self.ends[semi]), parent)
 
 
 def _classify_leaf(texts: list[str]) -> StmtKind:

@@ -10,10 +10,15 @@ near the end are attempted before the setup code they depend on.
 A sweep that accepts nothing is the 1-minimality certificate: every single
 subtree removal from the final set was just attempted and rejected.
 
-A sweep keeps the retained ids in one mutable set. Each candidate is a
-read-only view of that set minus the attempted subtree, and an accepted
+A sweep keeps the retained ids in one mutable set, ``kept``. Each candidate
+is a read-only view of that set minus the attempted subtree, and an accepted
 candidate is committed by removing the subtree in place, so the reducer's
 bookkeeping per candidate costs the size of the subtree, not of the test.
+``kept`` shrinks only through these commits. The oracle's subset query
+``candidate >= fs`` on a frozenset ``fs`` therefore costs the subtree's size
+too: the sweep remembers whether each such ``fs`` lies within ``kept``, a
+False answer holds for the rest of the sweep, and a True one until a commit
+removes one of ``fs``'s members.
 
 Invalid verdicts (non-compiling candidates, timeouts) count as "not failing":
 the statement is kept, the standard treatment of unresolved outcomes in
@@ -26,8 +31,9 @@ import time
 from collections.abc import Iterable, Set
 from dataclasses import dataclass
 from itertools import combinations
+from typing import NamedTuple
 
-from .model import Category, TestCaseAst, render
+from .model import TestCaseAst, render
 from .oracle import (
     Oracle,
     OracleVerdict,
@@ -42,8 +48,7 @@ class TooLargeError(ValueError):
     """Exhaustive search refused beyond the statement bound."""
 
 
-@dataclass(frozen=True)
-class TraceEntry:
+class TraceEntry(NamedTuple):
     """One removal attempt, for audit."""
 
     node_id: int
@@ -80,10 +85,12 @@ class ReductionOutcome:
             "passes": self.passes,
             "baseline_signature": self.baseline,
             "minimal_source": self.minimal_source,
+            # ``_value_`` is a plain attribute; the ``value`` property would
+            # cost a Python-level call per trace entry.
             "trace": [
-                {"node": t.node_id, "decision": "accepted" if t.accepted else "rejected",
-                 "verdict": t.status.value}
-                for t in self.trace
+                {"node": node_id, "decision": "accepted" if accepted else "rejected",
+                 "verdict": status._value_}
+                for node_id, accepted, status in self.trace
             ],
         }
 
@@ -95,14 +102,20 @@ class _Candidate(Set):
     subtree's ids within it, so building a candidate and testing it against
     a small set cost the subtree's size. The view is valid until ``kept``
     changes; anything that outlives the call needs ``frozenset(view)``.
+
+    ``within`` is shared by the candidates of one sweep: it maps each
+    frozenset that a candidate was compared with to whether it lies within
+    ``kept``. :func:`_commit` keeps it true as ``kept`` shrinks.
     """
 
-    __slots__ = ("kept", "dropped")
+    __slots__ = ("kept", "dropped", "within")
     _from_iterable = frozenset
 
-    def __init__(self, kept: Set[int], dropped: frozenset[int]):
+    def __init__(self, kept: Set[int], dropped: frozenset[int],
+                 within: dict[frozenset[int], bool]):
         self.kept = kept
         self.dropped = dropped
+        self.within = within
 
     def __contains__(self, node_id: object) -> bool:
         return node_id in self.kept and node_id not in self.dropped
@@ -120,7 +133,14 @@ class _Candidate(Set):
             return NotImplemented
         # The subtree is checked first: a candidate that drops a needed
         # statement is rejected at the subtree's cost.
-        return other.isdisjoint(self.dropped) and other <= self.kept
+        if not other.isdisjoint(self.dropped):
+            return False
+        if type(other) is not frozenset:
+            return other <= self.kept  # a mutable set may change between calls
+        inside = self.within.get(other)
+        if inside is None:
+            inside = self.within[other] = other <= self.kept
+        return inside
 
     def __and__(self, other: object) -> frozenset[int]:
         if not isinstance(other, (frozenset, Iterable)):
@@ -133,6 +153,16 @@ class _Candidate(Set):
         return hash(frozenset(self.kept - self.dropped))
 
 
+def _commit(kept: set[int], within: dict[frozenset[int], bool],
+            dropped: frozenset[int]) -> None:
+    """Remove an accepted subtree from ``kept``. A set that was within
+    ``kept`` and loses a member is not within it for the rest of the sweep."""
+    kept -= dropped
+    for other, inside in within.items():
+        if inside and not other.isdisjoint(dropped):
+            within[other] = False
+
+
 class _Session:
     """Shared state for one reduction: oracle plumbing, counters, sweep order."""
 
@@ -143,10 +173,13 @@ class _Session:
         self.policy = oracle.match_policy
         self.calls = 0
         self.trace: list[TraceEntry] = []
-        nodes = ast.statements
-        #: Trees before leaves, each by descending span start, ties by id.
-        self.order = sorted(range(len(nodes)), key=lambda i: (
-            nodes[i].category is not Category.TREE, -nodes[i].span[0], i))
+        #: Trees before leaves, each by descending span start, ties by id
+        #: (a reverse sort keeps equal starts in ascending id order).
+        starts = [node.span[0] for node in ast.statements]
+        by_start = sorted(range(len(starts)), key=starts.__getitem__, reverse=True)
+        trees = ast.tree_ids
+        self.order = ([i for i in by_start if i in trees]
+                      + [i for i in by_start if i not in trees])
 
     def accepts(self, retained: Set[int]) -> tuple[bool, OracleVerdict]:
         self.calls += 1
@@ -158,15 +191,16 @@ def _sweep(session: _Session,
            retained: frozenset[int]) -> tuple[frozenset[int], bool]:
     ast = session.ast
     kept = set(retained)
+    within: dict[frozenset[int], bool] = {}
     changed = False
     for node_id in session.order:
         if node_id not in kept:
             continue  # removed already, or along with an earlier subtree
-        candidate = _Candidate(kept, ast.subtree_ids(node_id) & kept)
+        candidate = _Candidate(kept, ast.subtree_ids(node_id) & kept, within)
         ok, verdict = session.accepts(candidate)
         session.trace.append(TraceEntry(node_id, ok, verdict.status))
         if ok:
-            kept -= candidate.dropped
+            _commit(kept, within, candidate.dropped)
             changed = True
     return frozenset(kept), changed
 
@@ -192,7 +226,7 @@ def reduce_test(ast: TestCaseAst, oracle: Oracle) -> ReductionOutcome:
             break
 
     removed = ast.all_ids() - retained
-    removed_tn = sum(1 for i in removed if ast.node(i).category is Category.TREE)
+    removed_tn = len(removed & ast.tree_ids)
     return ReductionOutcome(
         test_name=ast.test_name,
         retained=retained,
@@ -215,9 +249,10 @@ def verify_one_minimal(ast: TestCaseAst, oracle: Oracle,
     if baseline is None:
         baseline = baseline_signature(oracle, ast)
     session = _Session(ast, oracle, baseline)
+    within: dict[frozenset[int], bool] = {}  # ``retained`` never changes
     for node_id in retained:
         dropped = ast.subtree_ids(node_id) & retained
-        ok, _ = session.accepts(_Candidate(retained, dropped))
+        ok, _ = session.accepts(_Candidate(retained, dropped, within))
         if ok:
             return False
     return True

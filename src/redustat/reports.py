@@ -12,7 +12,8 @@ produces. Written to a directory it becomes:
 - ``report.json``   provenance, per-entry statuses, claim lines
 - ``reductions/<name>.json``  one reduction report per ok entry, with its
   removal trace, as one line of JSON (``python -m json.tool`` pretty-prints
-  it); the other JSON files are indented
+  it); the other JSON files are indented. Writing removes every other
+  ``reductions/*.json``, so no report outlives its entry's failure or removal
 
 Identical inputs give byte-identical files, except ``report.json`` whose
 provenance carries a timestamp (and, after live reductions, wall times in
@@ -262,13 +263,21 @@ class ReportBundle:
             "errors": self.entry_errors,
         }
         (out / "report.json").write_text(_dump_json(report), encoding="utf-8")
+        reductions = out / "reductions"
+        written = set()
         if self.reduction_reports:
-            reductions = out / "reductions"
             reductions.mkdir(exist_ok=True)
             names = [status.name for status in self.entry_statuses if status.ok]
             for name, reduction in zip(names, self.reduction_reports, strict=True):
                 path = reductions / f"{name}.json"
                 path.write_text(dump_reduction_report(reduction), encoding="utf-8")
+                written.add(path.name)
+        # A report left by an earlier run, of an entry that failed this time
+        # or is no longer configured, would contradict report.json.
+        if reductions.is_dir():
+            for path in reductions.iterdir():
+                if path.suffix == ".json" and path.name not in written:
+                    path.unlink()
         return out
 
 

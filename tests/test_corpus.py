@@ -62,6 +62,36 @@ def test_small_corpus_end_to_end(tmp_path):
     assert trace["retained"] == [1, 3]
 
 
+def _written_reports(tmp_path):
+    return sorted(p.name for p in (tmp_path / "out" / "reductions").iterdir())
+
+
+def _listed_entries(tmp_path):
+    report = json.loads((tmp_path / "out" / "report.json").read_text())
+    return {e["name"]: e["ok"] for e in report["entries"]}
+
+
+def test_rerun_without_an_entry_removes_its_report(tmp_path):
+    a = entry("a", "a();\nb();\n", [[1]], tmp_path)
+    b = entry("b", "c();\nd();\n", [[0]], tmp_path)
+    run_corpus(load_corpus_config(write_corpus(tmp_path, [a, b])))
+    assert _written_reports(tmp_path) == ["a.json", "b.json"]
+    run_corpus(load_corpus_config(write_corpus(tmp_path, [a])))
+    assert _written_reports(tmp_path) == ["a.json"]
+    assert _listed_entries(tmp_path) == {"a": True}
+
+
+def test_rerun_where_an_entry_fails_removes_its_report(tmp_path):
+    a = entry("a", "a();\nb();\n", [[1]], tmp_path)
+    b = entry("b", "c();\nd();\n", [[0]], tmp_path)
+    run_corpus(load_corpus_config(write_corpus(tmp_path, [a, b])))
+    b["oracle"]["failure_sets"] = [[99]]  # the original no longer fails
+    bundle = run_corpus(load_corpus_config(write_corpus(tmp_path, [a, b])))
+    assert bundle.entry_errors == 1
+    assert _written_reports(tmp_path) == ["a.json"]
+    assert _listed_entries(tmp_path) == {"a": True, "b": False}
+
+
 def test_entry_failures_are_isolated(tmp_path):
     entries = [
         entry("good", "a();\nb();\n", [[1]], tmp_path),

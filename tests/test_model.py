@@ -1,4 +1,6 @@
+import dataclasses
 import random
+import re
 
 import pytest
 
@@ -182,6 +184,60 @@ def test_construction_rejects_leaf_with_children():
     )
     with pytest.raises(ModelError):
         TestCaseAst(test_name="bad", source="return x;", statements=nodes, roots=(0,))
+
+
+#: "{ a(); b(); } c();": a block holding two leaves, then a leaf.
+_SOURCE = "{ a(); b(); } c();"
+_NODES = (
+    StatementNode(0, StmtKind.BLOCK, (0, 13), (1, 2)),
+    StatementNode(1, StmtKind.EXPRESSION, (2, 6), parent=0),
+    StatementNode(2, StmtKind.EXPRESSION, (7, 11), parent=0),
+    StatementNode(3, StmtKind.EXPRESSION, (14, 18)),
+)
+
+
+def _hand_built(roots=(0, 3), **changes):
+    """The test above with some nodes' fields replaced: ``node<i>={...}``."""
+    nodes = tuple(dataclasses.replace(node, **changes.get(f"node{node.id}", {}))
+                  for node in _NODES)
+    return TestCaseAst("hand", _SOURCE, nodes, roots)
+
+
+def test_hand_built_test_is_valid():
+    assert _hand_built().tree_ids == {0}
+
+
+@pytest.mark.parametrize("changes, message", [
+    ({"node3": {"id": 4}}, "ids must be contiguous from 0; position 3 holds id 4"),
+    ({"node3": {"span": (14, 19)}}, "node 3: span (14, 19) outside source"),
+    ({"node3": {"span": (-1, 18)}}, "node 3: span (-1, 18) outside source"),
+    ({"node0": {"kind": StmtKind.EXPRESSION}}, "node 0: ExpressionStmt is a leaf kind"),
+    ({"node0": {"children": (1, 2, 7)}}, "node 0: child 7 out of range"),
+    ({"node2": {"parent": None}}, "node 2: parent link does not match"),
+    ({"node1": {"span": (0, 6)}}, "node 1: span (0, 6) not strictly inside"),
+    ({"node0": {"children": (2, 1)}}, "children of node 0: spans overlap or are out"),
+    ({"node2": {"span": (5, 11)}}, "children of node 0: spans overlap or are out"),
+    ({"roots": (3, 0)}, "roots: spans overlap or are out of source order"),
+    ({"roots": (0, 1, 3)}, "root 1 has a parent"),
+    ({"roots": (0, 3, 9)}, "root 9 out of range"),
+    ({"roots": (0,)}, "statements not reachable from roots: [3]"),
+    ({"node0": {"children": (1,)}}, "statements not reachable from roots: [2]"),
+])
+def test_construction_rejects_each_broken_invariant(changes, message):
+    with pytest.raises(ModelError, match=re.escape(message)):
+        _hand_built(**changes)
+
+
+def test_construction_rejects_a_node_reachable_twice():
+    # Empty spans are never out of order with themselves, so only the walk
+    # notices that a node is listed twice.
+    empty = StatementNode(0, StmtKind.EMPTY, (1, 1))
+    with pytest.raises(ModelError, match="node 0 reachable twice"):
+        TestCaseAst("twice", "x;", (empty,), (0, 0))
+    block = StatementNode(0, StmtKind.BLOCK, (0, 2), (1, 1))
+    inner = StatementNode(1, StmtKind.EMPTY, (1, 1), parent=0)
+    with pytest.raises(ModelError, match="node 1 reachable twice"):
+        TestCaseAst("twice", "{}", (block, inner), (0,))
 
 
 def _shape(ast):

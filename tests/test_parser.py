@@ -7,7 +7,7 @@ import textwrap
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from redustat.model import Category, StmtKind, count_categories
@@ -253,16 +253,60 @@ _SEPARATORS = st.sampled_from(["", " ", "\n", "\t", "\r\n", "  "])
 _SKIPPED = re.compile(r"(?:[ \t\r\n]+|//[^\n]*|/\*.*?\*/)*", re.DOTALL)
 
 
+def _first_error(source):
+    """``(message, line, column)`` of the first malformed piece of a source
+    made of the fragments above, or None; found by stepping through it.
+
+    Outside comments and literals, a character of those fragments either
+    belongs to some token or is a backslash, left over where a literal's
+    quotes were paired differently than in its fragment.
+    """
+    pos = 0
+    while pos < len(source):
+        if source.startswith("//", pos):
+            newline = source.find("\n", pos)
+            pos = len(source) if newline < 0 else newline
+        elif source.startswith("/*", pos):
+            close = source.find("*/", pos + 2)
+            if close < 0:
+                return _at("unterminated block comment", source, pos)
+            pos = close + 2
+        elif source[pos] in "\"'":
+            quote, scan = source[pos], pos + 1
+            while scan < len(source) and source[scan] not in (quote, "\n"):
+                scan += 2 if source[scan] == "\\" else 1
+            if scan >= len(source) or source[scan] != quote:
+                return _at("unterminated literal", source, pos)
+            pos = scan + 1
+        elif source[pos] == "\\":
+            return _at("unexpected character '\\\\'", source, pos)
+        else:
+            pos += 1
+    return None
+
+
+def _at(message, source, pos):
+    lines = source[:pos].split("\n")
+    return message, len(lines), len(lines[-1]) + 1
+
+
 @settings(max_examples=200, deadline=None)
 @given(st.lists(st.tuples(_SEPARATORS, _FRAGMENTS), max_size=30), _SEPARATORS)
+# "//" hides the literal's opening quote, so its closing one opens a literal
+# that the end of the source leaves unterminated; with a second literal after
+# it, that quote closes early and leaves the second literal's backslash.
+@example(parts=[("", "/"), ("", "/"), ("", "\"a\\\nb\"")], tail="")
+@example(parts=[("", "/"), ("", "/"), ("", "\"a\\\nb\""), ("", "\"a\\\nb\"")], tail="")
 def test_tokens_cover_the_source_between_skipped_gaps(parts, tail):
     source = "".join(sep + fragment for sep, fragment in parts) + tail
+    expected_error = _first_error(source)
     try:
         texts, ends = tokenize(source)
     except StatementSyntaxError as error:
-        # "/" next to "*" opens a comment that may never close.
-        assert str(error).startswith("unterminated block comment")
+        message, line, column = expected_error or ("no error", 0, 0)
+        assert str(error) == f"{message} (line {line}, column {column})"
         return
+    assert expected_error is None
     assert len(texts) == len(ends)
     position = 0
     for text, end in zip(texts, ends):

@@ -1,3 +1,5 @@
+import hashlib
+import json
 import os
 import random
 import subprocess
@@ -372,7 +374,7 @@ _IDS = st.integers(0, 30)
 @given(st.sets(_IDS), st.data(), st.frozensets(_IDS))
 def test_candidate_view_agrees_with_its_frozenset(kept, data, other):
     dropped = data.draw(st.frozensets(st.sampled_from(sorted(kept)))) if kept else frozenset()
-    view = _Candidate(kept, dropped)
+    view = _Candidate(kept, dropped, {})
     expected = frozenset(kept - dropped)
     assert [i in view for i in range(-1, 32)] == [i in expected for i in range(-1, 32)]
     assert len(view) == len(expected)
@@ -387,3 +389,56 @@ def test_candidate_view_agrees_with_its_frozenset(kept, data, other):
     assert view == expected and expected == view
     assert (view == other) == (expected == other)
     assert hash(view) == hash(expected)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.frozensets(_IDS, min_size=1),
+       st.lists(st.frozensets(_IDS, max_size=6), min_size=1, max_size=4), st.data())
+def test_subset_memo_agrees_with_frozensets_across_commits(retained, failure_sets, data):
+    # The same frozenset objects are asked about again and again while
+    # commits shrink ``kept``, as a scripted oracle does within one sweep.
+    kept, within = set(retained), {}
+    for _ in range(data.draw(st.integers(1, 12))):
+        if not kept:
+            break
+        dropped = data.draw(st.frozensets(st.sampled_from(sorted(kept)), min_size=1))
+        view = _Candidate(kept, dropped, within)
+        expected = frozenset(kept - dropped)
+        for fs in failure_sets + failure_sets:
+            assert (view >= fs) == (expected >= fs)
+            assert (view >= set(fs)) == (expected >= fs)
+        if data.draw(st.booleans()):
+            reducer._commit(kept, within, dropped)
+            assert kept == expected
+
+
+def _every_other_leaf_test():
+    """About 1 000 statements nested up to four deep; the failure needs every
+    other leaf, 440 of them."""
+    rng = random.Random("every-other-leaf")
+    lines, depth = [], 0
+    for k in range(1200):
+        draw = rng.random()
+        if depth and draw < 0.15:
+            lines.append("}")
+            depth -= 1
+        elif depth < 4 and draw < 0.3:
+            lines.append(f"if (c{k}) {{")
+            depth += 1
+        else:
+            lines.append(f"s{k}();")
+    ast = parse_test("\n".join(lines + ["}"] * depth), test_name="every-other")
+    leaves = [node.id for node in ast.statements if node.category is Category.NON_TREE]
+    return ast, frozenset(leaves[::2])
+
+
+def test_every_other_leaf_reduction_is_pinned():
+    # Both figures were taken before the subset memo was added.
+    ast, needed = _every_other_leaf_test()
+    assert (ast.total_statements, len(needed)) == (1041, 440)
+    outcome = reduce_test(ast, ScriptedOracle((needed,)))
+    assert outcome.retained == ast.ancestor_closure(needed)
+    trace = json.dumps(outcome.to_report()["trace"], sort_keys=True)
+    assert outcome.oracle_calls == 1604
+    assert hashlib.sha256(trace.encode()).hexdigest() == \
+        "ff40c14e8e8a96de161111b3acb2efec1981325046621b2436fff2c5250c2762"
