@@ -15,7 +15,7 @@ from .model import (
     render,
 )
 from .parser import StatementSyntaxError, UnsupportedConstructError, parse_test
-from .ingest import CycleError, SchemaError, canonical_json, ingest_tree, to_document
+from .ingest import CycleError, SchemaError, ingest_tree
 from .oracle import (
     MatchPolicy,
     OracleConfig,
@@ -64,62 +64,3 @@ from .replicate import load_fixture_records, replicate_from_fixtures
 from .corpus import CorpusConfig, CorpusEntry, load_corpus_config, run_corpus
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "Category",
-    "NotAncestorClosedError",
-    "StatementNode",
-    "StmtKind",
-    "TestCaseAst",
-    "count_categories",
-    "render",
-    "StatementSyntaxError",
-    "UnsupportedConstructError",
-    "parse_test",
-    "CycleError",
-    "SchemaError",
-    "canonical_json",
-    "ingest_tree",
-    "to_document",
-    "MatchPolicy",
-    "OracleConfig",
-    "OracleVerdict",
-    "OriginalDoesNotFailError",
-    "OracleSpawnError",
-    "ScriptedOracle",
-    "VerdictStatus",
-    "baseline_signature",
-    "evaluate",
-    "normalize_signature",
-    "ReductionOutcome",
-    "TooLargeError",
-    "brute_force_minimal",
-    "reduce_test",
-    "verify_one_minimal",
-    "CountMismatchError",
-    "EmptyCorpusError",
-    "MeanSummary",
-    "MetricsRecord",
-    "aggregate_means",
-    "compute_metrics",
-    "metrics_from_reduction",
-    "read_records_csv",
-    "AllZeroDifferencesError",
-    "ConstantInputError",
-    "StatsMethod",
-    "StatsResult",
-    "shapiro_wilk",
-    "wilcoxon_signed_rank",
-    "FiveNumberSummary",
-    "ReportBundle",
-    "boxplot_table",
-    "five_number_summary",
-    "stats_block",
-    "load_fixture_records",
-    "replicate_from_fixtures",
-    "CorpusConfig",
-    "CorpusEntry",
-    "load_corpus_config",
-    "run_corpus",
-    "__version__",
-]

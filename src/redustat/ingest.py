@@ -16,6 +16,7 @@ otherwise, so foreign grammars degrade gracefully to the tree/leaf split.
 from __future__ import annotations
 
 import json
+from operator import itemgetter
 from typing import Any
 
 from .model import StatementNode, StmtKind, TestCaseAst, TREE_KINDS, ModelError
@@ -38,6 +39,9 @@ class CycleError(ValueError):
 
 
 _KIND_BY_NAME = {kind.value: kind for kind in StmtKind}
+_NODE_FIELDS = (("id", int), ("kind", str), ("has_children", bool), ("span", list),
+                ("children", list))
+_node_fields = itemgetter(*(key for key, _ in _NODE_FIELDS))
 
 
 def _require(mapping: Any, key: str, types: type | tuple, path: str) -> Any:
@@ -51,11 +55,23 @@ def _require(mapping: Any, key: str, types: type | tuple, path: str) -> Any:
     return value
 
 
+def _is_int(value: Any) -> bool:
+    """An ``int`` other than a bool: the slow path of the inline
+    ``type(value) is int`` checks, for subclasses of ``int``."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def ingest_tree(document: dict | str, project: str = "") -> TestCaseAst:
     """Build a :class:`TestCaseAst` from a tree document (dict or JSON text).
 
     Raises :class:`SchemaError` with the offending path on malformed
     documents and :class:`CycleError` when child references loop.
+
+    Ingest checks the schema, the field types, that the ids are the range
+    ``0..n-1``, that roots and children name nodes, and that each node has at
+    most one parent, in one pass over the nodes. Spans, nesting and
+    reachability are left to :class:`TestCaseAst`, whose checks also reject
+    every cycle; only then is the document searched for the cycle to report.
     """
     if isinstance(document, str):
         try:
@@ -72,65 +88,68 @@ def ingest_tree(document: dict | str, project: str = "") -> TestCaseAst:
         raise SchemaError("field 'project' has wrong type", "$.project")
 
     n = len(raw_nodes)
-    seen_ids = set()
-    parsed = {}
+    kinds: list[StmtKind | None] = [None] * n
+    spans: list[tuple[int, int]] = [(0, 0)] * n
+    children_of: list[tuple[int, ...]] = [()] * n
+    parents: list[int | None] = [None] * n
+    stray_ids: set[int] = set()  # ids outside 0..n-1, kept to report duplicates
+    # A missing child or a second parent is reported only once the ids and
+    # roots have passed, as those errors take precedence.
+    link_error = None
     for idx, raw in enumerate(raw_nodes):
-        path = f"$.nodes[{idx}]"
-        node_id = _require(raw, "id", int, path)
-        kind_name = _require(raw, "kind", str, path)
-        has_children = _require(raw, "has_children", bool, path)
-        span = _require(raw, "span", list, path)
-        children = _require(raw, "children", list, path)
-        if node_id in seen_ids:
-            raise SchemaError(f"duplicate node id {node_id}", path)
-        seen_ids.add(node_id)
-        if not (len(span) == 2 and all(isinstance(v, int) and not isinstance(v, bool)
-                                       for v in span)):
-            raise SchemaError("span must be [start, end]", f"{path}.span")
-        for c_idx, child in enumerate(children):
-            if not isinstance(child, int) or isinstance(child, bool):
+        try:
+            node_id, kind_name, has_children, span, children = _node_fields(raw)
+            typed = (type(raw) is dict and type(node_id) is int and type(kind_name) is str
+                     and type(has_children) is bool and type(span) is list
+                     and type(children) is list)
+        except (KeyError, TypeError):
+            typed = False
+        if not typed:
+            node_id, kind_name, has_children, span, children = (
+                _require(raw, key, types, f"$.nodes[{idx}]") for key, types in _NODE_FIELDS)
+        placed = 0 <= node_id < n
+        if placed:
+            duplicate = kinds[node_id] is not None
+        else:
+            duplicate = node_id in stray_ids
+            stray_ids.add(node_id)
+        if duplicate:
+            raise SchemaError(f"duplicate node id {node_id}", f"$.nodes[{idx}]")
+        if not (len(span) == 2 and (type(span[0]) is int and type(span[1]) is int
+                                    or _is_int(span[0]) and _is_int(span[1]))):
+            raise SchemaError("span must be [start, end]", f"$.nodes[{idx}].span")
+        for child in children:
+            if type(child) is not int and not _is_int(child):
+                c_idx = next(i for i, c in enumerate(children) if not _is_int(c))
                 raise SchemaError("child ids must be integers",
-                                  f"{path}.children[{c_idx}]")
+                                  f"$.nodes[{idx}].children[{c_idx}]")
+            if not 0 <= child < n:
+                link_error = link_error or (f"child {child} does not exist", idx)
+            elif parents[child] is None:
+                parents[child] = node_id
+            else:
+                link_error = link_error or (f"node {child} has two parents", idx)
         kind = _KIND_BY_NAME.get(kind_name)
         if kind is None:
             kind = StmtKind.BLOCK if has_children else StmtKind.EXPRESSION
-        if kind not in TREE_KINDS and children:
-            raise SchemaError(f"leaf kind {kind.value!r} cannot have children", path)
-        parsed[node_id] = {
-            "kind": kind,
-            "span": (span[0], span[1]),
-            "children": list(children),
-            "path": path,
-        }
+        if children and kind not in TREE_KINDS:
+            raise SchemaError(f"leaf kind {kind.value!r} cannot have children",
+                              f"$.nodes[{idx}]")
+        if placed:
+            kinds[node_id] = kind
+            spans[node_id] = (span[0], span[1])
+            children_of[node_id] = tuple(children)
 
-    if seen_ids != set(range(n)):
-        raise SchemaError(f"node ids must be the contiguous range 0..{n - 1}",
-                          "$.nodes")
+    if stray_ids:
+        raise SchemaError(f"node ids must be the contiguous range 0..{n - 1}", "$.nodes")
     for r_idx, root in enumerate(raw_roots):
-        if not isinstance(root, int) or isinstance(root, bool) or root not in parsed:
+        if not _is_int(root) or not 0 <= root < n:
             raise SchemaError("root ids must reference nodes", f"$.roots[{r_idx}]")
+    if link_error:
+        message, idx = link_error
+        raise SchemaError(message, f"$.nodes[{idx}]")
 
-    parents: dict[int, int] = {}
-    for node_id, info in parsed.items():
-        for child in info["children"]:
-            if child not in parsed:
-                raise SchemaError(f"child {child} does not exist", info["path"])
-            if child in parents:
-                raise SchemaError(f"node {child} has two parents", info["path"])
-            parents[child] = node_id
-
-    _check_acyclic(parsed)
-
-    statements = tuple(
-        StatementNode(
-            id=node_id,
-            kind=parsed[node_id]["kind"],
-            span=parsed[node_id]["span"],
-            children=tuple(parsed[node_id]["children"]),
-            parent=parents.get(node_id),
-        )
-        for node_id in range(n)
-    )
+    statements = tuple(map(StatementNode, range(n), kinds, spans, children_of, parents))
     try:
         return TestCaseAst(
             test_name=test_name,
@@ -140,20 +159,23 @@ def ingest_tree(document: dict | str, project: str = "") -> TestCaseAst:
             project=project,
         )
     except ModelError as exc:
+        _check_acyclic([raw["id"] for raw in raw_nodes], children_of)
         raise SchemaError(str(exc), "$") from None
 
 
-def _check_acyclic(parsed: dict[int, dict]) -> None:
+def _check_acyclic(order: list[int], children_of: list[tuple[int, ...]]) -> None:
+    """Raise :class:`CycleError` if child references loop, searching from
+    each node in document order."""
     WHITE, GREY, BLACK = 0, 1, 2
-    color = {node_id: WHITE for node_id in parsed}
-    for start in parsed:
+    color = [WHITE] * len(children_of)
+    for start in order:
         if color[start] != WHITE:
             continue
         stack: list[tuple[int, int]] = [(start, 0)]
         color[start] = GREY
         while stack:
             node_id, child_idx = stack[-1]
-            children = parsed[node_id]["children"]
+            children = children_of[node_id]
             if child_idx == len(children):
                 stack.pop()
                 color[node_id] = BLACK
@@ -165,32 +187,3 @@ def _check_acyclic(parsed: dict[int, dict]) -> None:
             if color[child] == WHITE:
                 color[child] = GREY
                 stack.append((child, 0))
-
-
-def to_document(ast: TestCaseAst) -> dict:
-    """Serialize an AST back to the tree-ingestion schema.
-
-    Kinds are emitted in canonical enum form, so ingest -> serialize is
-    idempotent even for documents that used foreign kind strings.
-    """
-    return {
-        "test_name": ast.test_name,
-        "project": ast.project,
-        "source": ast.source,
-        "nodes": [
-            {
-                "id": node.id,
-                "kind": node.kind.value,
-                "has_children": node.kind in TREE_KINDS,
-                "span": [node.span[0], node.span[1]],
-                "children": list(node.children),
-            }
-            for node in ast.statements
-        ],
-        "roots": list(ast.roots),
-    }
-
-
-def canonical_json(ast: TestCaseAst) -> str:
-    """Byte-stable serialization: sorted keys, minimal separators, newline."""
-    return json.dumps(to_document(ast), sort_keys=True, separators=(",", ":")) + "\n"

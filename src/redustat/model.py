@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, NamedTuple
 
 
 class StmtKind(Enum):
@@ -80,13 +80,16 @@ class NotAncestorClosedError(ModelError):
                          f"is retained but an ancestor is not")
 
 
-@dataclass(frozen=True)
-class StatementNode:
+class StatementNode(NamedTuple):
     """One statement in a test body.
 
     ``span`` is a half-open ``[start, end)`` index range into the owning
     test's source text. ``children`` holds ids of directly nested statements,
     in source order; it is empty for every non-tree statement.
+
+    A ``NamedTuple``, so it is immutable, hashable, and cheap to build: the
+    front ends build one per statement of every test. It compares equal to
+    the plain tuple of its fields, ``(id, kind, span, children, parent)``.
     """
 
     id: int

@@ -1,0 +1,48 @@
+import importlib.util
+from pathlib import Path
+
+_SPEC = importlib.util.spec_from_file_location(
+    "bench_tool", Path(__file__).resolve().parents[1] / "tools" / "bench.py")
+bench = importlib.util.module_from_spec(_SPEC)
+_SPEC.loader.exec_module(bench)
+
+PARENT = [1.00, 1.01, 0.99, 1.02, 1.00, 0.98, 1.01, 1.00, 0.99, 1.03]
+
+
+def _run(label, wall_s, trace=0):
+    return {"label": label, "workload": "scripted-large", "seed": 1, "trace": trace,
+            "exit": 0, "result": {"metrics": {"wall_s": {"value": wall_s, "unit": "s"}}}}
+
+
+def _alternating(change):
+    runs = []
+    for i, (old, new) in enumerate(zip(PARENT, change)):
+        pair = [_run("parent", old), _run("change", new)]
+        runs += pair if i % 2 == 0 else pair[::-1]
+    return {"runs": runs}
+
+
+def test_summary_holds_with_nine_of_ten_pairs_won_by_more_than_the_iqr():
+    record = _alternating([0.80] * 9 + [1.05])
+    record["runs"].append(_run("parent", 9.0, trace=1))  # traced runs are left out
+    [line] = bench.summarize(record)
+    assert line.startswith("scripted-large seed 1 wall_s [s]: parent 1 [0.9925, 1.01] "
+                           "(10 runs), change 0.8 [0.8, 0.8] (10 runs), -20.0%;")
+    assert "won 9 of 10 pairs" in line
+    assert line.endswith("gain rule holds")
+
+
+def test_summary_is_not_met_with_eight_wins_or_a_gap_inside_the_iqr():
+    [eight] = bench.summarize(_alternating([0.80] * 8 + [1.05, 1.05]))
+    assert "won 8 of 10 pairs" in eight and eight.endswith("gain rule not met")
+    [close] = bench.summarize(_alternating([p - 0.01 for p in PARENT]))
+    assert "won 10 of 10 pairs" in close and close.endswith("gain rule not met")
+
+
+def test_a_failed_run_keeps_later_runs_paired():
+    record = _alternating([0.80] * 10)
+    failed = next(run for run in record["runs"] if run["label"] == "change")
+    del failed["result"]
+    [line] = bench.summarize(record)
+    assert "change 0.8 [0.8, 0.8] (9 runs)" in line and "won 9 of 10" not in line
+    assert "won 9 of 9 pairs" in line and line.endswith("gain rule not met")

@@ -5,11 +5,40 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from redustat.ingest import CycleError, SchemaError, canonical_json, ingest_tree, to_document
-from redustat.model import StmtKind, count_categories
+from redustat.ingest import CycleError, SchemaError, ingest_tree
+from redustat.model import TREE_KINDS, StmtKind, TestCaseAst, count_categories
 from redustat.parser import parse_test
 
 from conftest import random_test_source
+
+
+def to_document(ast: TestCaseAst) -> dict:
+    """Serialize an AST back to the tree-ingestion schema.
+
+    Kinds are emitted in canonical enum form, so ingest -> serialize is
+    idempotent even for documents that used foreign kind strings.
+    """
+    return {
+        "test_name": ast.test_name,
+        "project": ast.project,
+        "source": ast.source,
+        "nodes": [
+            {
+                "id": node.id,
+                "kind": node.kind.value,
+                "has_children": node.kind in TREE_KINDS,
+                "span": [node.span[0], node.span[1]],
+                "children": list(node.children),
+            }
+            for node in ast.statements
+        ],
+        "roots": list(ast.roots),
+    }
+
+
+def canonical_json(ast: TestCaseAst) -> str:
+    """Byte-stable serialization: sorted keys, minimal separators, newline."""
+    return json.dumps(to_document(ast), sort_keys=True, separators=(",", ":")) + "\n"
 
 
 def doc(nodes, roots, source="x" * 64, name="t"):
@@ -175,3 +204,88 @@ def test_foreign_kinds_reserialize_canonically():
     text = canonical_json(once)
     assert canonical_json(ingest_tree(text)) == text
     assert '"kind":"Block"' in text
+
+
+def _six_nodes():
+    """"{ a; if (c) { b; d; } } e;" as nodes: a block holding a leaf and an
+    ``if`` with two leaves, then a leaf."""
+    return [
+        node(0, "Block", (0, 30), children=(1, 2)),
+        node(1, "ExpressionStmt", (2, 8)),
+        node(2, "If", (10, 28), children=(3, 4)),
+        node(3, "ExpressionStmt", (12, 18)),
+        node(4, "ExpressionStmt", (20, 26)),
+        node(5, "ExpressionStmt", (32, 40)),
+    ]
+
+
+def test_nodes_listed_out_of_id_order_ingest_like_sorted_ones():
+    nodes = _six_nodes()
+    shuffled = [nodes[i] for i in (4, 0, 5, 2, 1, 3)]
+    expected = ingest_tree(doc(nodes, [0, 5]))
+    assert ingest_tree(doc(shuffled, [0, 5])) == expected
+    assert [n.parent for n in expected.statements] == [None, 0, 0, 2, 2, None]
+
+
+def _fault(index, **changes):
+    nodes = _six_nodes()
+    nodes[index] = {**nodes[index], **changes}
+    return doc(nodes, [0, 5])
+
+
+def _missing(index, key):
+    nodes = _six_nodes()
+    del nodes[index][key]
+    return doc(nodes, [0, 5])
+
+
+def _cycle():
+    """Nodes 1 -> 2 -> 3 -> 1 loop and hang from no root; the document lists
+    node 2 first, so the search meets the loop again at node 2."""
+    return doc([
+        node(2, "Block", (10, 20), children=(3,)),
+        node(0, "ExpressionStmt", (0, 4)),
+        node(1, "Block", (5, 30), children=(2,)),
+        node(3, "Block", (12, 18), children=(1,)),
+    ], [0])
+
+
+# Each document has one fault, past node 0. The class, message and path are
+# those the multi-pass ingest gave, which the one-pass ingest must keep.
+@pytest.mark.parametrize("document, error, message", [
+    (_fault(3, span=[12]), SchemaError, "span must be [start, end] (at $.nodes[3].span)"),
+    (_fault(3, span=[12, 18.0]), SchemaError,
+     "span must be [start, end] (at $.nodes[3].span)"),
+    (_fault(2, children=[3, "4"]), SchemaError,
+     "child ids must be integers (at $.nodes[2].children[1])"),
+    (_fault(2, children=[3, True]), SchemaError,
+     "child ids must be integers (at $.nodes[2].children[1])"),
+    (_fault(2, children=[3, 4, 1]), SchemaError, "node 1 has two parents (at $.nodes[2])"),
+    (_fault(2, children=[3, 4, 9]), SchemaError, "child 9 does not exist (at $.nodes[2])"),
+    (_fault(2, children=[3, -1]), SchemaError, "child -1 does not exist (at $.nodes[2])"),
+    (_fault(3, id=1), SchemaError, "duplicate node id 1 (at $.nodes[3])"),
+    (_fault(3, id=6), SchemaError,
+     "node ids must be the contiguous range 0..5 (at $.nodes)"),
+    (_fault(4, id=True), SchemaError, "field 'id' has wrong type (at $.nodes[4].id)"),
+    (_fault(4, has_children=0), SchemaError,
+     "field 'has_children' has wrong type (at $.nodes[4].has_children)"),
+    (_missing(5, "kind"), SchemaError, "missing field 'kind' (at $.nodes[5])"),
+    (doc(_six_nodes()[:5] + ["leaf"], [0]), SchemaError, "expected an object (at $.nodes[5])"),
+    (_fault(4, kind="Return", children=[5]), SchemaError,
+     "leaf kind 'Return' cannot have children (at $.nodes[4])"),
+    (_fault(3, span=[12, 29]), SchemaError,
+     "node 3: span (12, 29) not strictly inside parent span (10, 28) (at $)"),
+    (_cycle(), CycleError, "child references form a cycle through node 2"),
+])
+def test_single_fault_past_node_zero_keeps_its_error(document, error, message):
+    with pytest.raises(error) as info:
+        ingest_tree(document)
+    assert type(info.value) is error
+    assert str(info.value) == message
+
+
+def test_root_past_the_first_that_names_no_node_keeps_its_error():
+    with pytest.raises(SchemaError) as info:
+        ingest_tree(doc(_six_nodes(), [0, 5, 6]))
+    assert str(info.value) == "root ids must reference nodes (at $.roots[2])"
+    assert info.value.path == "$.roots[2]"

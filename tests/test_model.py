@@ -1,4 +1,3 @@
-import dataclasses
 import random
 import re
 
@@ -25,6 +24,38 @@ def test_category_is_decided_by_kind_alone():
         node = StatementNode(id=0, kind=kind, span=(0, 1))
         expected = Category.TREE if kind in TREE_KINDS else Category.NON_TREE
         assert node.category is expected
+
+
+@pytest.mark.parametrize("field", StatementNode._fields)
+def test_statement_node_fields_cannot_be_assigned(field):
+    node = StatementNode(id=0, kind=StmtKind.IF, span=(0, 9), children=(1,), parent=None)
+    with pytest.raises(AttributeError):
+        setattr(node, field, getattr(node, field))
+    with pytest.raises(AttributeError):
+        node.extra = 1
+    assert node == StatementNode(0, StmtKind.IF, (0, 9), (1,))
+
+
+def test_equal_statement_nodes_hash_equal():
+    first = StatementNode(id=3, kind=StmtKind.BLOCK, span=(2, 8), children=(4, 5), parent=1)
+    second = StatementNode(3, StmtKind.BLOCK, (2, 8), (4, 5), 1)
+    assert first == second and hash(first) == hash(second)
+    assert first == (3, StmtKind.BLOCK, (2, 8), (4, 5), 1)
+    assert len({first, second, first._replace(parent=None)}) == 2
+    assert repr(StatementNode(0, StmtKind.RETURN, (0, 9))) == (
+        "StatementNode(id=0, kind=<StmtKind.RETURN: 'Return'>, span=(0, 9), "
+        "children=(), parent=None)")
+
+
+def test_parsed_nodes_hold_only_immutable_values():
+    # What makes a TestCaseAst safe to share between threads: every node,
+    # down to its span and children, is a tuple, so it hashes and no reader
+    # can change what another sees.
+    ast = parse_test("if (a) { x(); while (b) { y(); } }\nz();\n")
+    for node in ast.statements:
+        assert type(node.span) is tuple and type(node.children) is tuple
+        assert hash(node) == hash(tuple(node))
+    assert hash(ast.statements) == hash(parse_test(ast.source).statements)
 
 
 def test_tree_kinds_are_exactly_the_nesting_statements():
@@ -198,7 +229,7 @@ _NODES = (
 
 def _hand_built(roots=(0, 3), **changes):
     """The test above with some nodes' fields replaced: ``node<i>={...}``."""
-    nodes = tuple(dataclasses.replace(node, **changes.get(f"node{node.id}", {}))
+    nodes = tuple(node._replace(**changes.get(f"node{node.id}", {}))
                   for node in _NODES)
     return TestCaseAst("hand", _SOURCE, nodes, roots)
 

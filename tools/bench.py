@@ -10,12 +10,22 @@ checkout's commit id are appended to the output file's ``runs``, so several
 invocations can add to one ``BENCH_<n>.json``. Example, from the repository root:
 
     python3 tools/bench.py BENCH_6.json --checkout parent=../parent --checkout change=.
+
+``--summary`` runs nothing. It reads the untraced runs of the file and, for
+each workload, seed, label other than ``parent`` and end-to-end metric of
+``BENCHMARK.json``, prints the parent's and that label's median and
+quartiles, the number of pairs the label won (the i-th parent run against
+its i-th run, in the order recorded; ties count for neither side), and
+whether the gain rule holds: at least 10 pairs, at least nine tenths of
+them won, and medians that differ by more than the parent's interquartile
+range. Example: ``python3 tools/bench.py --summary BENCH_10.json``.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import statistics
 import subprocess
 import sys
 from pathlib import Path
@@ -24,6 +34,7 @@ WORKLOADS = ("scripted-large", "command-oracle", "study")
 #: Length of every run, the same for every checkout so their runs compare.
 SECONDS = 30.0
 PREFIXES = {"unmeasured: ": "unmeasured", "measured, before rescaling: ": "measured"}
+BENCHMARK = Path(__file__).resolve().parent.parent / "BENCHMARK.json"
 
 
 def commit_of(root: Path) -> str:
@@ -54,15 +65,68 @@ def run_once(root: Path, workload: str, seed: int, trace: int) -> dict:
     return run
 
 
+def quartiles(values: list[float]) -> tuple[float, float, float]:
+    """Lower quartile, median and upper quartile, interpolated between runs."""
+    if len(values) == 1:
+        return values[0], values[0], values[0]
+    q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return q1, median, q3
+
+
+def summarize(record: dict) -> list[str]:
+    """The lines ``--summary`` prints for one ``BENCH_<n>.json`` record."""
+    metrics = json.loads(BENCHMARK.read_text())["end_to_end"]
+    groups: dict[tuple[str, int], dict[str, list]] = {}
+    for run in record["runs"]:
+        if run["trace"] == 0:
+            by_label = groups.setdefault((run["workload"], run["seed"]), {})
+            # A failed run keeps its place, so that later runs stay paired.
+            by_label.setdefault(run["label"], []).append(
+                run.get("result", {}).get("metrics"))
+    lines = []
+    for (workload, seed), by_label in groups.items():
+        base = by_label.get("parent", [])
+        for label, runs in by_label.items():
+            if label == "parent" or not base:
+                continue
+            for metric in metrics:
+                name, lower = metric["name"], metric["better"] == "lower"
+                old = [m[name]["value"] for m in base if m and name in m]
+                new = [m[name]["value"] for m in runs if m and name in m]
+                pairs = [(p[name]["value"], c[name]["value"]) for p, c in zip(base, runs)
+                         if p and c and name in p and name in c]
+                if not (old and new):
+                    continue
+                (o1, o2, o3), (n1, n2, n3) = quartiles(old), quartiles(new)
+                won = sum(c < p if lower else c > p for p, c in pairs)
+                gap = o2 - n2 if lower else n2 - o2
+                holds = len(pairs) >= 10 and won >= 0.9 * len(pairs) and gap > o3 - o1
+                change = f"{100 * (n2 - o2) / o2:+.1f}%" if o2 else "n/a"
+                lines.append(
+                    f"{workload} seed {seed} {name} [{metric['unit']}]: "
+                    f"parent {o2:.5g} [{o1:.5g}, {o3:.5g}] ({len(old)} runs), "
+                    f"{label} {n2:.5g} [{n1:.5g}, {n3:.5g}] ({len(new)} runs), {change}; "
+                    f"won {won} of {len(pairs)} pairs; gap {gap:.5g} against parent "
+                    f"IQR {o3 - o1:.5g}; gain rule {'holds' if holds else 'not met'}")
+    return lines
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("out", type=Path, help="BENCH_<n>.json to create or extend")
-    parser.add_argument("--checkout", action="append", required=True, metavar="LABEL=DIR")
+    parser.add_argument("--summary", action="store_true",
+                        help="print the comparison of the file's untraced runs; run nothing")
+    parser.add_argument("--checkout", action="append", metavar="LABEL=DIR")
     parser.add_argument("--workload", action="append", choices=WORKLOADS)
     parser.add_argument("--seed", action="append", type=int)
     parser.add_argument("--trace", action="append", type=int, choices=(0, 1))
     parser.add_argument("--repeat", type=int, default=1)
     args = parser.parse_args(argv)
+    if args.summary:
+        print("\n".join(summarize(json.loads(args.out.read_text()))))
+        return 0
+    if not args.checkout:
+        parser.error("--checkout is required unless --summary is given")
 
     checkouts = []
     for spec in args.checkout:
