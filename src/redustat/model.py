@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Iterable, Iterator, NamedTuple
+from typing import Iterable, NamedTuple
 
 
 class StmtKind(Enum):
@@ -150,19 +150,6 @@ class TestCaseAst:
             stack.extend(self.statements[cur].children)
         return frozenset(out)
 
-    def ancestors(self, node_id: int) -> Iterator[int]:
-        cur = self.statements[node_id].parent
-        while cur is not None:
-            yield cur
-            cur = self.statements[cur].parent
-
-    def ancestor_closure(self, ids: Iterable[int]) -> frozenset[int]:
-        """Smallest ancestor-closed superset of ``ids``."""
-        closed = set(ids)
-        for node_id in list(closed):
-            closed.update(self.ancestors(node_id))
-        return frozenset(closed)
-
     def is_ancestor_closed(self, retained: Iterable[int]) -> bool:
         kept = set(retained)
         return all(
@@ -224,31 +211,34 @@ def _validate(ast: TestCaseAst) -> frozenset[int]:
     source_len = len(ast.source)
     listed = bytearray(n)
     tree_ids = []
-    for index, node in enumerate(statements):
-        if node.id != index:
+    # A NamedTuple field read is a descriptor call, so each node is unpacked
+    # once; a child's two fields are cheaper read than unpacked.
+    for index, (node_id, kind, span, children, _) in enumerate(statements):
+        if node_id != index:
             raise ModelError(f"statement ids must be contiguous from 0; "
-                             f"position {index} holds id {node.id}")
-        start, end = node.span
+                             f"position {index} holds id {node_id}")
+        start, end = span
         if not (0 <= start <= end <= source_len):
-            raise ModelError(f"node {index}: span {node.span} outside source")
-        if node.kind in TREE_KINDS:
+            raise ModelError(f"node {index}: span {span} outside source")
+        if kind in TREE_KINDS:
             tree_ids.append(index)
-        elif node.children:
-            raise ModelError(f"node {index}: {node.kind.value} is a leaf kind "
+        elif children:
+            raise ModelError(f"node {index}: {kind.value} is a leaf kind "
                              f"but has children")
-        if not node.children:
+        if not children:
             continue
-        for child_id in node.children:
+        for child_id in children:
             if not 0 <= child_id < n:
                 raise ModelError(f"node {index}: child {child_id} out of range")
             child = statements[child_id]
             if child.parent != index:
                 raise ModelError(f"node {child_id}: parent link does not match "
                                  f"its position under node {index}")
-            if not (start < child.span[0] and child.span[1] < end):
+            child_start, child_end = child.span
+            if not (start < child_start and child_end < end):
                 raise ModelError(f"node {child_id}: span {child.span} not strictly "
-                                 f"inside parent span {node.span}")
-        _check_siblings(statements, node.children, listed, f"children of node {index}")
+                                 f"inside parent span {span}")
+        _check_siblings(statements, children, listed, f"children of node {index}")
 
     for root_id in ast.roots:
         if not 0 <= root_id < n:

@@ -129,11 +129,6 @@ def tokenize(source: str) -> tuple[list[str], list[int]]:
     return list(filter(None, texts)), list(compress(offsets, texts))
 
 
-def token_texts(source: str) -> list[str]:
-    """Token sequence used for whitespace-insensitive source comparison."""
-    return tokenize(source)[0]
-
-
 # -- parsing ---------------------------------------------------------------
 
 _UNSUPPORTED_STARTERS = {"switch", "class", "interface", "enum", "record"}

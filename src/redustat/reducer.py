@@ -3,9 +3,13 @@
 The reducer repeatedly sweeps the retained statements and tries to delete one
 subtree at a time, keeping a deletion only when the oracle still reports the
 (policy-matching) failure. Within a sweep, tree statements are attempted
-before leaves (a subtree deletion removes many statements for one oracle
-call), and each group is visited in source order descending, so assertions
-near the end are attempted before the setup code they depend on.
+before leaves, since a subtree deletion removes many statements for one
+oracle call. Trees go outer before inner, later before earlier (descending
+span end; spans nest strictly, so a tree ends after all it holds): once an
+outer tree is accepted, no call was spent inside it. This is the
+coarse-before-fine order of hierarchical delta debugging. Leaves go in source
+order descending, so assertions near the end are attempted before the setup
+code they depend on.
 
 A sweep that accepts nothing is the 1-minimality certificate: every single
 subtree removal from the final set was just attempted and rejected.
@@ -173,13 +177,16 @@ class _Session:
         self.policy = oracle.match_policy
         self.calls = 0
         self.trace: list[TraceEntry] = []
-        #: Trees before leaves, each by descending span start, ties by id
-        #: (a reverse sort keeps equal starts in ascending id order).
+        #: Trees before leaves. Trees by descending span end, so outer before
+        #: inner and later before earlier: an accepted outer tree wastes no
+        #: call on the trees it holds. Leaves by descending span start. Ties
+        #: go by id (a reverse sort keeps equal keys in ascending id order).
+        trees = ast.tree_ids
+        by_end = sorted(sorted(trees), key=lambda i: ast.statements[i].span[1],
+                        reverse=True)
         starts = [node.span[0] for node in ast.statements]
         by_start = sorted(range(len(starts)), key=starts.__getitem__, reverse=True)
-        trees = ast.tree_ids
-        self.order = ([i for i in by_start if i in trees]
-                      + [i for i in by_start if i not in trees])
+        self.order = by_end + [i for i in by_start if i not in trees]
 
     def accepts(self, retained: Set[int]) -> tuple[bool, OracleVerdict]:
         self.calls += 1

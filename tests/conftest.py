@@ -1,4 +1,5 @@
-"""Shared helpers: deterministic random test-body generation.
+"""Shared helpers: deterministic random test-body generation, token
+comparison and ancestor closure.
 
 The generator mirrors the supported grammar (leaves plus braced tree
 statements) so parser, reducer and acceptance tests all draw from the same
@@ -8,11 +9,12 @@ instance space: bounded statement count, bounded nesting depth.
 from __future__ import annotations
 
 import random
+from collections.abc import Iterable, Iterator
 
 import pytest
 
 from redustat.model import TestCaseAst
-from redustat.parser import parse_test
+from redustat.parser import parse_test, tokenize
 
 _LEAVES = (
     "int v{k} = {n};",
@@ -79,6 +81,27 @@ def random_ast(rng: random.Random, max_statements: int = 12,
                max_depth: int = 3, test_name: str = "random") -> TestCaseAst:
     return parse_test(random_test_source(rng, max_statements, max_depth),
                       test_name=test_name)
+
+
+def token_texts(source: str) -> list[str]:
+    """Token sequence used for whitespace-insensitive source comparison."""
+    return tokenize(source)[0]
+
+
+def ancestors(ast: TestCaseAst, node_id: int) -> Iterator[int]:
+    """The ids of a node's enclosing statements, innermost first."""
+    cur = ast.statements[node_id].parent
+    while cur is not None:
+        yield cur
+        cur = ast.statements[cur].parent
+
+
+def ancestor_closure(ast: TestCaseAst, ids: Iterable[int]) -> frozenset[int]:
+    """Smallest ancestor-closed superset of ``ids``."""
+    closed = set(ids)
+    for node_id in list(closed):
+        closed.update(ancestors(ast, node_id))
+    return frozenset(closed)
 
 
 @pytest.fixture

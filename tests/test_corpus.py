@@ -1,4 +1,7 @@
+import hashlib
+import importlib.util
 import json
+import sys
 from pathlib import Path
 
 import pytest
@@ -11,7 +14,8 @@ from redustat.corpus import (
 from redustat.metrics import EmptyCorpusError
 from redustat.reducer import reduce_test
 
-SYNTHETIC = Path(__file__).resolve().parent.parent / "src" / "redustat" / "data" / "synthetic"
+REPO = Path(__file__).resolve().parent.parent
+SYNTHETIC = REPO / "src" / "redustat" / "data" / "synthetic"
 PINNED_BUNDLE = Path(__file__).resolve().parent / "fixtures" / "synthetic_bundle"
 
 
@@ -389,9 +393,10 @@ def test_corpus_records_match_reduction_reports(tmp_path):
 
 
 #: Oracle calls per entry of the shipped synthetic corpus, t01 to t30,
-#: baselines included.
-SYNTHETIC_ORACLE_CALLS = [10, 8, 14, 8, 14, 15, 11, 18, 13, 11, 18, 18, 10, 12, 10,
-                          13, 13, 22, 12, 18, 17, 13, 7, 18, 14, 19, 8, 10, 13, 17]
+#: baselines included, as a separate greedy reducer with the same sweep order
+#: counts them.
+SYNTHETIC_ORACLE_CALLS = [10, 7, 14, 8, 14, 15, 11, 17, 13, 11, 17, 18, 10, 12, 10,
+                          13, 13, 22, 12, 18, 16, 13, 7, 18, 14, 18, 8, 10, 13, 17]
 
 
 def test_synthetic_corpus_oracle_calls_are_pinned():
@@ -400,7 +405,7 @@ def test_synthetic_corpus_oracle_calls_are_pinned():
     reports = bundle.reduction_reports
     calls = [report["oracle_calls"] for report in reports]
     assert calls == SYNTHETIC_ORACLE_CALLS
-    assert sum(calls) == 404
+    assert sum(calls) == 399
     for report in reports:
         assert report["passes"] == 2
         assert report["oracle_calls"] == 1 + len(report["trace"])
@@ -410,3 +415,38 @@ def test_synthetic_corpus_oracle_calls_are_pinned():
         certifying = trace[len(trace) - len(retained):]
         assert sorted(t["node"] for t in certifying) == retained
         assert {t["decision"] for t in certifying} == {"rejected"}
+
+
+def _benchmark_workloads():
+    """The benchmark's input generators, imported without changing them."""
+    name = "bench_workloads"
+    if name not in sys.modules:  # its dataclasses look the module up by name
+        spec = importlib.util.spec_from_file_location(
+            name, REPO / "benchmark" / "workloads.py")
+        sys.modules[name] = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(sys.modules[name])
+    return sys.modules[name]
+
+
+#: Total oracle calls and the digest of the retained sets on fixed-seed slices
+#: of the benchmark's workload generators, as a separate greedy reducer with
+#: the same sweep order counts them. The study slice holds the 30 shipped
+#: synthetic entries too. The retained sets are those of the earlier
+#: inner-tree-first order, which took 7 175 and 1 270 calls.
+WORKLOAD_SLICES = {
+    ("scripted-large", 6): (
+        6947, "18caddac5bfb8f806aca074e4ed492351b944d70d7c2a3d72856bb298c544104"),
+    ("study", 40): (
+        1236, "539e6e209b9fcf865cef08eb982a0a324615f2c9225cea191fed3dd89bd0b71e"),
+}
+
+
+@pytest.mark.parametrize("workload, count", sorted(WORKLOAD_SLICES))
+def test_workload_slice_calls_are_pinned(tmp_path, workload, count):
+    inputs = _benchmark_workloads().write_inputs(workload, 1, tmp_path, REPO, count)
+    bundle = run_corpus(load_corpus_config(inputs.config_path), write=False)
+    assert bundle.entry_errors == 0
+    retained = {r["test_name"]: r["retained"] for r in bundle.reduction_reports}
+    digest = hashlib.sha256(json.dumps(retained, sort_keys=True).encode()).hexdigest()
+    calls = sum(r["oracle_calls"] for r in bundle.reduction_reports)
+    assert (calls, digest) == WORKLOAD_SLICES[workload, count]

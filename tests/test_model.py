@@ -14,9 +14,9 @@ from redustat.model import (
     count_categories,
     render,
 )
-from redustat.parser import parse_test, token_texts
+from redustat.parser import parse_test
 
-from conftest import random_ast
+from conftest import ancestor_closure, ancestors, random_ast, token_texts
 
 
 def test_category_is_decided_by_kind_alone():
@@ -192,8 +192,8 @@ def test_subtree_ids_and_ancestors():
     # ids: 0=outer if, 1=x, 2=inner if, 3=y, 4=z
     assert ast.subtree_ids(0) == {0, 1, 2, 3}
     assert ast.subtree_ids(2) == {2, 3}
-    assert list(ast.ancestors(3)) == [2, 0]
-    assert ast.ancestor_closure({3}) == {0, 2, 3}
+    assert list(ancestors(ast, 3)) == [2, 0]
+    assert ancestor_closure(ast, {3}) == {0, 2, 3}
     assert ast.is_ancestor_closed({0, 2, 3})
     assert not ast.is_ancestor_closed({2, 3})
 

@@ -15,9 +15,10 @@ from redustat.parser import (
     StatementSyntaxError,
     UnsupportedConstructError,
     parse_test,
-    token_texts,
     tokenize,
 )
+
+from conftest import token_texts
 
 
 def kinds(ast):

@@ -1,3 +1,4 @@
+import functools
 import hashlib
 import json
 import os
@@ -28,7 +29,7 @@ from redustat.oracle import (
     VerdictStatus,
     evaluate,
 )
-from redustat.parser import parse_test, token_texts
+from redustat.parser import parse_test
 from redustat.reducer import (
     TooLargeError,
     TraceEntry,
@@ -38,7 +39,7 @@ from redustat.reducer import (
     verify_one_minimal,
 )
 
-from conftest import random_ast
+from conftest import ancestor_closure, random_ast, token_texts
 
 
 def scripted(*sets, blockers=()):
@@ -129,6 +130,14 @@ def test_subtrees_are_attempted_before_leaves():
     assert outcome.oracle_calls == 4
 
 
+def test_outer_trees_are_attempted_before_the_trees_they_hold():
+    # the outer if goes in one call, so its inner if is never attempted
+    ast = parse_test("if (a) { if (b) { x(); }\n y(); }\nz();\n")
+    outcome = reduce_test(ast, scripted({4}))
+    assert outcome.retained == {4}
+    assert [entry.node_id for entry in outcome.trace] == [0, 4, 4]
+
+
 def test_monotone_oracles_reduce_to_the_closure_of_the_cause():
     rng = random.Random(21)
     for _ in range(50):
@@ -136,7 +145,7 @@ def test_monotone_oracles_reduce_to_the_closure_of_the_cause():
         ids = sorted(ast.all_ids())
         cause = frozenset(rng.sample(ids, rng.randint(1, min(3, len(ids)))))
         outcome = reduce_test(ast, scripted(cause))
-        assert outcome.retained == ast.ancestor_closure(cause)
+        assert outcome.retained == ancestor_closure(ast, cause)
 
 
 def test_brute_force_trivial_cases(flat_five):
@@ -247,13 +256,24 @@ def test_reduction_with_command_oracle_end_to_end(tmp_path):
 # -- candidates as views of the retained set -----------------------------------
 
 
-def frozenset_sweep(session, retained):
-    """The reference sweep: every candidate is a new frozenset."""
+def end_descending(node):
+    """The reducer's tree order: outer before inner, later before earlier."""
+    return -node.span[1]
+
+
+def start_descending(node):
+    """The tree order before outer trees were swept first: inner before outer."""
+    return -node.span[0]
+
+
+def frozenset_sweep(session, retained, tree_key=end_descending):
+    """The reference sweep: every candidate is a new frozenset. Trees go by
+    ``tree_key``, leaves by descending span start, ties by id."""
     ast = session.ast
     tree_ids = [i for i in retained if ast.node(i).category is Category.TREE]
     leaf_ids = [i for i in retained if ast.node(i).category is Category.NON_TREE]
-    tree_ids.sort(key=lambda i: -ast.node(i).span[0])
-    leaf_ids.sort(key=lambda i: -ast.node(i).span[0])
+    tree_ids.sort(key=lambda i: (tree_key(ast.node(i)), i))
+    leaf_ids.sort(key=lambda i: (-ast.node(i).span[0], i))
     changed = False
     for node_id in tree_ids + leaf_ids:
         if node_id not in retained:
@@ -327,15 +347,20 @@ class RecordingOracle:
 _SHAPES = st.lists(st.tuples(st.integers(0, 3), st.booleans()), min_size=1, max_size=60)
 
 
-@settings(max_examples=300, deadline=None)
-@given(_SHAPES, st.data())
-def test_view_sweep_equals_the_frozenset_sweep(shape, data):
-    ast = forest_ast(shape)
+def draw_scripted(ast, data):
+    """1-3 failure sets of 1-3 statements each, and up to 4 blockers."""
     ids = st.sampled_from(range(ast.total_statements))
     failure_sets = data.draw(st.lists(st.frozensets(ids, min_size=1, max_size=3),
                                       min_size=1, max_size=3))
     blockers = data.draw(st.frozensets(ids, max_size=4))
-    oracle = RecordingOracle(ScriptedOracle(tuple(failure_sets), blockers))
+    return ScriptedOracle(tuple(failure_sets), blockers)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_SHAPES, st.data())
+def test_view_sweep_equals_the_frozenset_sweep(shape, data):
+    ast = forest_ast(shape)
+    oracle = RecordingOracle(draw_scripted(ast, data))
     with mock.patch.object(reducer, "_sweep", frozenset_sweep):
         expected = reduce_test(ast, oracle)
     expected_candidates, oracle.seen = oracle.seen, []
@@ -345,6 +370,25 @@ def test_view_sweep_equals_the_frozenset_sweep(shape, data):
     assert outcome.oracle_calls == expected.oracle_calls
     assert outcome.passes == expected.passes
     assert oracle.seen == expected_candidates
+
+
+@settings(max_examples=300, deadline=None)
+@given(_SHAPES, st.data())
+def test_outer_first_order_keeps_results_and_saves_calls(shape, data):
+    # Within one sweep, the trees a tree holds sit right after it in the new
+    # order and right before it in the old one. Dropping the tree leaves the
+    # same set either way, so the sweep ends in the same state, and an
+    # accepted tree skips the calls spent inside it.
+    ast = forest_ast(shape)
+    oracle = draw_scripted(ast, data)
+    old_sweep = functools.partial(frozenset_sweep, tree_key=start_descending)
+    with mock.patch.object(reducer, "_sweep", old_sweep):
+        old = reduce_test(ast, oracle)
+    outcome = reduce_test(ast, oracle)
+    assert outcome.retained == old.retained
+    assert verify_one_minimal(ast, oracle, outcome.retained)
+    assert outcome.oracle_calls <= old.oracle_calls
+    assert outcome.passes == old.passes
 
 
 def test_flat_test_is_reduced_in_linear_time():
@@ -433,12 +477,15 @@ def _every_other_leaf_test():
 
 
 def test_every_other_leaf_reduction_is_pinned():
-    # Both figures were taken before the subset memo was added.
+    # Both figures come from a separate greedy reducer with the same order
+    # (trees by descending span end, then leaves by descending span start)
+    # and its own scripted predicate; with inner trees first, it gives the
+    # earlier pins, 1 604 calls and a digest starting ff40c14e.
     ast, needed = _every_other_leaf_test()
     assert (ast.total_statements, len(needed)) == (1041, 440)
     outcome = reduce_test(ast, ScriptedOracle((needed,)))
-    assert outcome.retained == ast.ancestor_closure(needed)
+    assert outcome.retained == ancestor_closure(ast, needed)
     trace = json.dumps(outcome.to_report()["trace"], sort_keys=True)
-    assert outcome.oracle_calls == 1604
+    assert outcome.oracle_calls == 1603
     assert hashlib.sha256(trace.encode()).hexdigest() == \
-        "ff40c14e8e8a96de161111b3acb2efec1981325046621b2436fff2c5250c2762"
+        "88b6d1a4f3b9953672ad94489e58dc7ae745021040778ae154adb26e893cfbb5"

@@ -19,7 +19,7 @@ import random
 from pathlib import Path
 
 from redustat.metrics import compute_metrics, records_to_csv
-from redustat.model import Category, count_categories
+from redustat.model import Category, TestCaseAst, count_categories
 from redustat.oracle import ScriptedOracle
 from redustat.parser import parse_test
 from redustat.reducer import brute_force_minimal
@@ -27,6 +27,16 @@ from redustat.reducer import brute_force_minimal
 OUT = Path(__file__).resolve().parent.parent / "src" / "redustat" / "data" / "synthetic"
 PROJECTS = ("synthetic-alpha", "synthetic-beta", "synthetic-gamma")
 MAX_STATEMENTS = 18
+
+
+def ancestor_closure(ast: TestCaseAst, ids: frozenset[int]) -> frozenset[int]:
+    """Smallest ancestor-closed superset of ``ids``."""
+    closed = set()
+    for node_id in ids:
+        while node_id is not None and node_id not in closed:
+            closed.add(node_id)
+            node_id = ast.statements[node_id].parent
+    return frozenset(closed)
 
 
 def leaf(rng: random.Random, k: int) -> str:
@@ -106,7 +116,7 @@ def main() -> None:
         oracle = ScriptedOracle(failure_sets=(failure_set,))
 
         minimal = brute_force_minimal(ast, oracle)
-        assert minimal == ast.ancestor_closure(failure_set)
+        assert minimal == ancestor_closure(ast, failure_set)
         removed = ast.all_ids() - minimal
         removed_tn = sum(1 for i in removed
                          if ast.node(i).category is Category.TREE)
