@@ -11,7 +11,11 @@ Consequences of that choice:
   rejected), which keeps removal of any child statement syntactically safe;
 - an ``if``/``else if``/``else`` chain is a single ``If`` node whose children
   are the statements of all branches, flattened in source order, mirroring
-  how ``try``/``catch``/``finally`` is one ``Try`` node.
+  how ``try``/``catch``/``finally`` is one ``Try`` node;
+- a leaf's kind comes from its first token alone: ``return``, ``throw``,
+  ``break`` and ``continue`` name theirs, and every other leaf, a local
+  declaration included, is an ``ExpressionStmt``. Reduction and the
+  metrics only tell leaves from tree statements.
 
 The full grammar is documented in ``docs/grammar.md``.
 """
@@ -59,11 +63,6 @@ _TOKEN = r"""
 """
 
 _DEPTH = {"(": 1, "[": 1, "{": 1, ")": -1, "]": -1, "}": -1}
-
-_PRIMITIVES = {
-    "int", "long", "short", "byte", "char", "boolean", "float", "double",
-    "var", "void",
-}
 
 
 def _line_column(source: str, offset: int) -> tuple[int, int]:
@@ -133,6 +132,18 @@ def tokenize(source: str) -> tuple[list[str], list[int]]:
 
 _UNSUPPORTED_STARTERS = {"switch", "class", "interface", "enum", "record"}
 
+#: First tokens that ``_Parser.parse_statement`` reads; any other statement
+#: but a label is a leaf, read to its ';'.
+_STATEMENT_STARTERS = {
+    ";", "{", "if", "while", "for", "do", "try", "synchronized",
+} | _UNSUPPORTED_STARTERS
+
+#: Leaves told apart by their first token; any other leaf is an expression.
+_JUMP_KINDS = {
+    "return": StmtKind.RETURN, "throw": StmtKind.THROW,
+    "break": StmtKind.BREAK, "continue": StmtKind.CONTINUE,
+}
+
 
 class _Parser:
     """Reads the token texts and end offsets by index.
@@ -162,7 +173,7 @@ class _Parser:
         self.nodes.append(None)
         return len(self.nodes) - 1
 
-    def _tree(self, node_id: int, kind: StmtKind, span: tuple[int, int],
+    def _fill(self, node_id: int, kind: StmtKind, span: tuple[int, int],
               children: list[int], parent: int | None) -> int:
         self.nodes[node_id] = StatementNode(node_id, kind, span, tuple(children), parent)
         return node_id
@@ -207,21 +218,58 @@ class _Parser:
 
     def parse_statements(self, parent: int | None, stop_at_brace: bool) -> list[int]:
         """Parse statements up to the closing brace (or the end of input),
-        returning their ids."""
+        returning their ids.
+
+        A leaf is read here: it ends at the first ';' at the depth its
+        siblings start at. Depth counts parentheses, brackets *and* braces,
+        so statement lambdas and anonymous-class bodies stay inside one
+        leaf. A closer that takes the depth below that before the ';' is
+        unmatched. Other statements go to :meth:`parse_statement`.
+        """
+        texts, depth, ends, nodes = self.texts, self.depth, self.ends, self.nodes
+        count = len(texts)
+        first = self.pos
+        base = depth[first - 1] if first else 0
         out = []
-        while True:
-            text = self._peek()
-            if text is None:
-                if stop_at_brace:
-                    raise self._error("missing closing '}'")
-                return out
+        while first < count:
+            text = texts[first]
             if text == "}":
                 if stop_at_brace:
+                    self.pos = first
                     return out
-                raise self._error("unmatched '}'")
-            out.append(self.parse_statement(parent))
+                raise self._error("unmatched '}'", first)
+            if text in _STATEMENT_STARTERS or (
+                    first + 1 < count and texts[first + 1] == ":"
+                    and _is_word(text) and text not in _JUMP_KINDS):
+                self.pos = first
+                out.append(self.parse_statement(parent))
+                first = self.pos
+                continue
+            try:
+                semi = texts.index(";", first)
+                while depth[semi] != base:
+                    semi = texts.index(";", semi + 1)
+            except ValueError:
+                semi = count
+            if min(depth[first:semi]) < base:
+                unmatched = depth.index(base - 1, first)
+                raise self._error(f"unmatched {texts[unmatched]!r}", unmatched)
+            if semi == count:
+                raise self._error("statement not terminated by ';'", first)
+            node_id = len(nodes)
+            nodes.append(StatementNode(
+                node_id, _JUMP_KINDS.get(text, StmtKind.EXPRESSION),
+                (ends[first] - len(text), ends[semi]), (), parent))
+            out.append(node_id)
+            first = semi + 1
+        self.pos = first
+        if stop_at_brace:
+            raise self._error("missing closing '}'")
+        return out
 
     def parse_statement(self, parent: int | None) -> int:
+        """A statement that starts with one of ``_STATEMENT_STARTERS``, or a
+        label."""
         first = self.pos
         text = self.texts[first]
         start = self._start(first)
@@ -229,7 +277,8 @@ class _Parser:
             raise UnsupportedConstructError(text, *_line_column(self.source, start))
         if text == ";":
             self._next()
-            return self._leaf(StmtKind.EMPTY, (start, self.ends[first]), parent)
+            return self._fill(self._reserve(), StmtKind.EMPTY,
+                              (start, self.ends[first]), [], parent)
         if text == "{":
             return self._single_body(StmtKind.BLOCK, start, parent)
         if text == "if":
@@ -250,17 +299,7 @@ class _Parser:
             self._next()
             self._skip_parenthesized()
             return self._single_body(StmtKind.SYNCHRONIZED, start, parent)
-        if text == "return":
-            return self._leaf_to_semicolon(StmtKind.RETURN, parent)
-        if text == "throw":
-            return self._leaf_to_semicolon(StmtKind.THROW, parent)
-        if text == "break":
-            return self._leaf_to_semicolon(StmtKind.BREAK, parent)
-        if text == "continue":
-            return self._leaf_to_semicolon(StmtKind.CONTINUE, parent)
-        if self._is_label_start():
-            return self._labeled_statement(parent)
-        return self._leaf_to_semicolon(None, parent)
+        return self._labeled_statement(parent)
 
     def _for_kind(self, opener: int) -> StmtKind:
         """FOR with two ';' at the header's own depth, else FOR_EACH with a ':'."""
@@ -272,10 +311,6 @@ class _Parser:
         if ":" in top:
             return StmtKind.FOR_EACH
         raise self._error("for header needs either two ';' or a ':'", opener - 1)
-
-    def _leaf(self, kind: StmtKind, span: tuple[int, int], parent: int | None) -> int:
-        self.nodes.append(StatementNode(len(self.nodes), kind, span, (), parent))
-        return len(self.nodes) - 1
 
     def _body(self, kind: StmtKind, node_id: int, children: list[int]) -> int:
         """Parse a braced body whose statements become children of
@@ -291,7 +326,7 @@ class _Parser:
         node_id = self._reserve()
         children: list[int] = []
         end = self._body(kind, node_id, children)
-        return self._tree(node_id, kind, (start, end), children, parent)
+        return self._fill(node_id, kind, (start, end), children, parent)
 
     def _if_statement(self, parent: int | None) -> int:
         """An ``if``/``else if``/``else`` chain is one node; the branches'
@@ -310,7 +345,7 @@ class _Parser:
             end = self._body(StmtKind.IF, node_id, children)
             if not chained:
                 break
-        return self._tree(node_id, StmtKind.IF, (start, end), children, parent)
+        return self._fill(node_id, StmtKind.IF, (start, end), children, parent)
 
     def _do_while(self, parent: int | None) -> int:
         start = self._start(self._next("do"))
@@ -320,7 +355,7 @@ class _Parser:
         self._next("while")
         self._skip_parenthesized()
         end = self.ends[self._next(";")]
-        return self._tree(node_id, StmtKind.DO_WHILE, (start, end), children, parent)
+        return self._fill(node_id, StmtKind.DO_WHILE, (start, end), children, parent)
 
     def _try_statement(self, parent: int | None) -> int:
         """``try``, its ``catch`` clauses and ``finally`` are one node."""
@@ -337,83 +372,12 @@ class _Parser:
         if self._peek() == "finally":
             self._next()
             end = self._body(StmtKind.TRY, node_id, children)
-        return self._tree(node_id, StmtKind.TRY, (start, end), children, parent)
-
-    def _is_label_start(self) -> bool:
-        following = self.pos + 1
-        return (following < len(self.texts) and self.texts[following] == ":"
-                and _is_word(self.texts[self.pos]))
+        return self._fill(node_id, StmtKind.TRY, (start, end), children, parent)
 
     def _labeled_statement(self, parent: int | None) -> int:
         start = self._start(self._next())
         self._next(":")
         return self._single_body(StmtKind.LABELED, start, parent)
-
-    def _leaf_to_semicolon(self, kind: StmtKind | None, parent: int | None) -> int:
-        """Consume tokens up to the first ';' at the statement's own depth.
-
-        Depth counts parentheses, brackets *and* braces, so statement lambdas
-        and anonymous-class bodies stay inside one leaf. A closer that takes
-        the depth below the statement's own before that ';' is unmatched.
-        """
-        texts, depth = self.texts, self.depth
-        first = self.pos
-        base = depth[first - 1] if first else 0
-        try:
-            semi = texts.index(";", first)
-            while depth[semi] != base:
-                semi = texts.index(";", semi + 1)
-        except ValueError:
-            semi = len(texts)
-        if min(depth[first:semi]) < base:
-            unmatched = depth.index(base - 1, first)
-            raise self._error(f"unmatched {texts[unmatched]!r}", unmatched)
-        if semi == len(texts):
-            raise self._error("statement not terminated by ';'", first)
-        self.pos = semi + 1
-        if kind is None:
-            kind = _classify_leaf(texts[first:semi])
-        return self._leaf(kind, (self._start(first), self.ends[semi]), parent)
-
-
-def _classify_leaf(texts: list[str]) -> StmtKind:
-    """Tell a local declaration from an expression statement.
-
-    Purely cosmetic for reduction purposes (both are leaves); a conservative
-    type-then-name shape check is enough.
-    """
-    i = 0
-    if i < len(texts) and texts[i] == "final":
-        i += 1
-        if i == len(texts):
-            return StmtKind.EXPRESSION
-    if i >= len(texts) or not _is_word(texts[i]):
-        return StmtKind.EXPRESSION
-    if texts[i] in _PRIMITIVES:
-        i += 1
-    else:
-        i += 1
-        while i + 1 < len(texts) and texts[i] == "." and _is_word(texts[i + 1]):
-            i += 2
-        if i < len(texts) and texts[i] == "<":
-            depth = 1
-            i += 1
-            while i < len(texts) and depth > 0:
-                if texts[i] == "<":
-                    depth += 1
-                elif texts[i] == ">":
-                    depth -= 1
-                i += 1
-            if depth != 0:
-                return StmtKind.EXPRESSION
-    while i + 1 < len(texts) and texts[i] == "[" and texts[i + 1] == "]":
-        i += 2
-    if i < len(texts) and _is_word(texts[i]) and texts[i] not in _PRIMITIVES:
-        nxt = texts[i + 1] if i + 1 < len(texts) else None
-        if nxt in (None, "=", ",") or (nxt == "[" and i + 2 < len(texts)
-                                       and texts[i + 2] == "]"):
-            return StmtKind.LOCAL_DECLARATION
-    return StmtKind.EXPRESSION
 
 
 def _is_word(text: str) -> bool:

@@ -168,7 +168,7 @@ def _commit(kept: set[int], within: dict[frozenset[int], bool],
 
 
 class _Session:
-    """Shared state for one reduction: oracle plumbing, counters, sweep order."""
+    """Shared state for one reduction: oracle plumbing and counters."""
 
     def __init__(self, ast: TestCaseAst, oracle: Oracle, baseline: str):
         self.ast = ast
@@ -177,16 +177,6 @@ class _Session:
         self.policy = oracle.match_policy
         self.calls = 0
         self.trace: list[TraceEntry] = []
-        #: Trees before leaves. Trees by descending span end, so outer before
-        #: inner and later before earlier: an accepted outer tree wastes no
-        #: call on the trees it holds. Leaves by descending span start. Ties
-        #: go by id (a reverse sort keeps equal keys in ascending id order).
-        trees = ast.tree_ids
-        by_end = sorted(sorted(trees), key=lambda i: ast.statements[i].span[1],
-                        reverse=True)
-        starts = [node.span[0] for node in ast.statements]
-        by_start = sorted(range(len(starts)), key=starts.__getitem__, reverse=True)
-        self.order = by_end + [i for i in by_start if i not in trees]
 
     def accepts(self, retained: Set[int]) -> tuple[bool, OracleVerdict]:
         self.calls += 1
@@ -194,13 +184,26 @@ class _Session:
         return verdict_accepted(verdict, self.baseline, self.policy), verdict
 
 
-def _sweep(session: _Session,
+def _sweep_order(ast: TestCaseAst) -> list[int]:
+    """Trees before leaves. Trees by descending span end, so outer before
+    inner and later before earlier: an accepted outer tree wastes no call on
+    the trees it holds. Leaves by descending span start. Ties go by id (a
+    reverse sort keeps equal keys in ascending id order)."""
+    trees = ast.tree_ids
+    by_end = sorted(sorted(trees), key=lambda i: ast.statements[i].span[1],
+                    reverse=True)
+    starts = [node.span[0] for node in ast.statements]
+    by_start = sorted(range(len(starts)), key=starts.__getitem__, reverse=True)
+    return by_end + [i for i in by_start if i not in trees]
+
+
+def _sweep(session: _Session, order: list[int],
            retained: frozenset[int]) -> tuple[frozenset[int], bool]:
     ast = session.ast
     kept = set(retained)
     within: dict[frozenset[int], bool] = {}
     changed = False
-    for node_id in session.order:
+    for node_id in order:
         if node_id not in kept:
             continue  # removed already, or along with an earlier subtree
         candidate = _Candidate(kept, ast.subtree_ids(node_id) & kept, within)
@@ -224,11 +227,12 @@ def reduce_test(ast: TestCaseAst, oracle: Oracle) -> ReductionOutcome:
     session = _Session(ast, oracle, baseline)
     session.calls += 1  # the baseline evaluation above
 
+    order = _sweep_order(ast)
     retained = ast.all_ids()
     passes = 0
     while True:
         passes += 1
-        retained, changed = _sweep(session, retained)
+        retained, changed = _sweep(session, order, retained)
         if not changed:
             break
 

@@ -18,14 +18,11 @@ from __future__ import annotations
 from importlib import resources
 from pathlib import Path
 
-from .metrics import MetricsRecord, parse_cell, read_records_csv
+from .metrics import MetricsRecord, read_records_csv
 from .reports import ReportBundle, assemble_bundle
 
 #: Fixture identifiers accepted by ``replicate``: live corpus tables.
 FIXTURE_TABLES = {"I": "table1.csv", "II": "table2.csv"}
-
-#: Published per-category probability tables, for reference comparisons.
-PUBLISHED_PROBABILITY_TABLES = {"I": "table3.csv", "II": "table4.csv"}
 
 
 def fixture_text(filename: str) -> str:
@@ -45,32 +42,6 @@ def load_fixture_records(table: str,
                          fixture_path: str | Path | None = None) -> list[MetricsRecord]:
     """Records of Table I or II, probability columns derived from counts."""
     return read_records_csv(_table_source(table, fixture_path))
-
-
-def derive_probability_table(records: list[MetricsRecord]) -> list[tuple[str, float, float]]:
-    """Rows ``(test, prntrs, prtrs)`` where both probabilities are defined.
-
-    This is the exclusion rule behind the published probability tables:
-    tests with an undefined probability (zero statements in the category)
-    cannot participate in the comparison.
-    """
-    return [
-        (r.test_name, r.prntrs, r.prtrs)
-        for r in records
-        if r.prntrs is not None and r.prtrs is not None
-    ]
-
-
-def published_probability_rows(table: str) -> list[tuple[str, float, float]]:
-    """The probability table exactly as published (percent values / 100)."""
-    text = fixture_text(PUBLISHED_PROBABILITY_TABLES[table])
-    rows = []
-    for line in text.splitlines()[1:]:
-        if not line.strip():
-            continue
-        name, prntrs, prtrs = line.split(",")
-        rows.append((name, parse_cell(prntrs) / 100.0, parse_cell(prtrs) / 100.0))
-    return rows
 
 
 def replicate_from_fixtures(table: str,

@@ -1,5 +1,5 @@
 """Shared helpers: deterministic random test-body generation, token
-comparison and ancestor closure.
+comparison, ancestor closure and the published probability tables.
 
 The generator mirrors the supported grammar (leaves plus braced tree
 statements) so parser, reducer and acceptance tests all draw from the same
@@ -10,11 +10,18 @@ from __future__ import annotations
 
 import random
 from collections.abc import Iterable, Iterator
+from pathlib import Path
 
 import pytest
 
+from redustat.metrics import MetricsRecord, parse_cell
 from redustat.model import TestCaseAst
 from redustat.parser import parse_test, tokenize
+
+FIXTURES = Path(__file__).resolve().parent / "fixtures"
+
+#: Published per-category probability tables, for reference comparisons.
+PUBLISHED_PROBABILITY_TABLES = {"I": "table3.csv", "II": "table4.csv"}
 
 _LEAVES = (
     "int v{k} = {n};",
@@ -102,6 +109,32 @@ def ancestor_closure(ast: TestCaseAst, ids: Iterable[int]) -> frozenset[int]:
     for node_id in list(closed):
         closed.update(ancestors(ast, node_id))
     return frozenset(closed)
+
+
+def derive_probability_table(records: list[MetricsRecord]) -> list[tuple[str, float, float]]:
+    """Rows ``(test, prntrs, prtrs)`` where both probabilities are defined.
+
+    This is the exclusion rule behind the published probability tables:
+    tests with an undefined probability (zero statements in the category)
+    cannot participate in the comparison.
+    """
+    return [
+        (r.test_name, r.prntrs, r.prtrs)
+        for r in records
+        if r.prntrs is not None and r.prtrs is not None
+    ]
+
+
+def published_probability_rows(table: str) -> list[tuple[str, float, float]]:
+    """The probability table exactly as published (percent values / 100)."""
+    text = (FIXTURES / PUBLISHED_PROBABILITY_TABLES[table]).read_text("utf-8")
+    rows = []
+    for line in text.splitlines()[1:]:
+        if not line.strip():
+            continue
+        name, prntrs, prtrs = line.split(",")
+        rows.append((name, parse_cell(prntrs) / 100.0, parse_cell(prtrs) / 100.0))
+    return rows
 
 
 @pytest.fixture

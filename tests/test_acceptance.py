@@ -11,15 +11,10 @@ from pathlib import Path
 from redustat.corpus import load_corpus_config, run_corpus
 from redustat.oracle import ScriptedOracle, VerdictStatus, evaluate
 from redustat.reducer import brute_force_minimal, reduce_test, verify_one_minimal
-from redustat.replicate import (
-    derive_probability_table,
-    load_fixture_records,
-    published_probability_rows,
-    replicate_from_fixtures,
-)
+from redustat.replicate import load_fixture_records, replicate_from_fixtures
 from redustat.stats import StatsMethod, shapiro_wilk, wilcoxon_signed_rank
 
-from conftest import random_ast
+from conftest import derive_probability_table, published_probability_rows, random_ast
 
 SYNTHETIC = Path(__file__).resolve().parent.parent / "src" / "redustat" / "data" / "synthetic"
 

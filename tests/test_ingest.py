@@ -119,6 +119,22 @@ def test_known_leaf_kind_with_children_is_schema_error():
         ingest_tree(bad)
 
 
+def test_local_declaration_is_a_leaf_kind():
+    # The parser no longer emits it, but tree documents still name it.
+    ast = ingest_tree(doc([node(0, "LocalDeclaration", (0, 10))], [0]))
+    assert ast.statements[0].kind is StmtKind.LOCAL_DECLARATION
+    assert count_categories(ast) == (1, 1, 0)
+    bad = doc(
+        [node(0, "LocalDeclaration", (0, 20), children=(1,)),
+         node(1, "ExpressionStmt", (4, 10))],
+        [0],
+    )
+    with pytest.raises(SchemaError) as info:
+        ingest_tree(bad)
+    assert str(info.value) == \
+        "leaf kind 'LocalDeclaration' cannot have children (at $.nodes[0])"
+
+
 def test_duplicate_parent_reference_is_schema_error():
     bad = doc(
         [

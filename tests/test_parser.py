@@ -27,7 +27,7 @@ def kinds(ast):
 
 def test_two_flat_leaves():
     ast = parse_test("int x = 1; assertEquals(1, x);")
-    assert kinds(ast) == [StmtKind.LOCAL_DECLARATION, StmtKind.EXPRESSION]
+    assert kinds(ast) == [StmtKind.EXPRESSION, StmtKind.EXPRESSION]
     assert ast.roots == (0, 1)
 
 
@@ -112,23 +112,23 @@ def test_jump_statements_are_leaves():
             assert not node.children
 
 
-def test_declaration_heuristics():
-    ast = parse_test(
-        "int x = 1;\n"
-        "final String s = \"a\";\n"
-        "Map<String, List<Integer>> m = build();\n"
-        "double[] values = new double[3];\n"
-        "x = compute();\n"
-        "foo.bar(x);\n"
-    )
-    assert kinds(ast) == [
-        StmtKind.LOCAL_DECLARATION,
-        StmtKind.LOCAL_DECLARATION,
-        StmtKind.LOCAL_DECLARATION,
-        StmtKind.LOCAL_DECLARATION,
-        StmtKind.EXPRESSION,
-        StmtKind.EXPRESSION,
+def test_declaration_shaped_leaves_are_expression_leaves():
+    # No output tells a declaration from an expression statement: reports
+    # hold ids and metrics count leaves and trees.
+    lines = [
+        "int x = 1;",
+        "final String s = \"a\";",
+        "Map<String, List<Integer>> m = build();",
+        "double[] values = new double[3];",
+        "x = compute();",
+        "foo.bar(x);",
     ]
+    source = "\n".join(lines) + "\n"
+    ast = parse_test(source)
+    assert kinds(ast) == [StmtKind.EXPRESSION] * len(lines)
+    assert [source[start:end] for start, end in
+            (node.span for node in ast.statements)] == lines
+    assert ast.roots == tuple(range(len(lines)))
 
 
 def test_lambda_and_anonymous_class_stay_opaque():
@@ -198,6 +198,49 @@ def test_unmatched_closing_brace():
 def test_bad_for_header():
     with pytest.raises(StatementSyntaxError):
         parse_test("for (nothing) { a(); }")
+
+
+# Each case maps a malformed body to the error it raises: (message without
+# the position, line, column).
+PARSE_ERROR_CASES = [
+    ("foo(a));", ("unmatched ')'", 1, 7)),
+    ("x = a[1]];", ("unmatched ']'", 1, 9)),
+    ("if (a) { x = y }; }", ("unmatched '}'", 1, 16)),
+    ("foo(x -> { a(); }});", ("unmatched ')'", 1, 19)),
+    ("foo(a]);", ("unmatched ')'", 1, 7)),
+    ("foo(); ) bar();", ("unmatched ')'", 1, 8)),
+    ("return ) ;", ("unmatched ')'", 1, 8)),
+    ("{ foo() }", ("unmatched '}'", 1, 9)),
+    ("foo(); }", ("unmatched '}'", 1, 8)),
+    ("a();\nfoo()", ("statement not terminated by ';'", 2, 1)),
+    ("a();\nfoo(", ("statement not terminated by ';'", 2, 1)),
+    ("break", ("statement not terminated by ';'", 1, 1)),
+    ("if (a) { foo();", ("missing closing '}'", 1, 15)),
+    ("while (x) { { a(); }", ("missing closing '}'", 1, 20)),
+    ("x : foo();", ("labeled statement body must be a braced block", 1, 5)),
+    ("x:", ("labeled statement body must be a braced block", 1, 2)),
+    ("throw : foo()", ("statement not terminated by ';'", 1, 1)),
+    ("do { } while (x)", ("unexpected end of input, expected ';'", 1, 16)),
+    ("do { a(); } while (x) foo();", ("expected ';', found 'foo'", 1, 23)),
+    ("do { }", ("unexpected end of input, expected 'while'", 1, 6)),
+    ("if (a) foo();", ("If body must be a braced block", 1, 8)),
+    ("if (a) { b(); } else c();", ("If body must be a braced block", 1, 22)),
+    ("try { } catch (E e) x();", ("Try body must be a braced block", 1, 21)),
+    ("while (x", ("unexpected end of input", 1, 8)),
+    ("if", ("unexpected end of input, expected '('", 1, 1)),
+    ("for (nothing) { a(); }", ("for header needs either two ';' or a ':'", 1, 1)),
+    ("foo();\nswitch (x) { }", ("unsupported construct 'switch'", 2, 1)),
+    ("a(); class X { }", ("unsupported construct 'class'", 1, 6)),
+]
+
+
+@pytest.mark.parametrize("source, expected", PARSE_ERROR_CASES)
+def test_parse_error_table(source, expected):
+    message, line, column = expected
+    with pytest.raises(StatementSyntaxError) as info:
+        parse_test(source)
+    assert str(info.value) == f"{message} (line {line}, column {column})"
+    assert (info.value.line, info.value.column) == (line, column)
 
 
 # -- tokens ------------------------------------------------------------------

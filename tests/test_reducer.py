@@ -266,9 +266,10 @@ def start_descending(node):
     return -node.span[0]
 
 
-def frozenset_sweep(session, retained, tree_key=end_descending):
+def frozenset_sweep(session, order, retained, tree_key=end_descending):
     """The reference sweep: every candidate is a new frozenset. Trees go by
-    ``tree_key``, leaves by descending span start, ties by id."""
+    ``tree_key``, leaves by descending span start, ties by id; the reducer's
+    ``order`` is not read."""
     ast = session.ast
     tree_ids = [i for i in retained if ast.node(i).category is Category.TREE]
     leaf_ids = [i for i in retained if ast.node(i).category is Category.NON_TREE]

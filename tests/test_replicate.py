@@ -2,12 +2,9 @@ from collections import Counter
 
 import pytest
 
-from redustat.replicate import (
-    derive_probability_table,
-    load_fixture_records,
-    published_probability_rows,
-    replicate_from_fixtures,
-)
+from redustat.replicate import load_fixture_records, replicate_from_fixtures
+
+from conftest import derive_probability_table, published_probability_rows
 
 # Cells where the published probability tables contradict their own corpus
 # tables; the derived (count-based) value is the consistent one. Documented
