@@ -120,8 +120,7 @@ def _cmd_reduce(args) -> int:
         timeout_ms=args.timeout,
         fail_exit_codes=frozenset(int(c) for c in args.fail_exit_codes.split(",")),
         signature_pattern=args.signature_pattern,
-        match_policy=MatchPolicy.SAME_SIGNATURE if args.policy == "same"
-        else MatchPolicy.ANY_FAILURE,
+        match_policy=MatchPolicy(args.policy),
     )
     outcome = reduce_test(ast, oracle)
     report = dump_reduction_report(outcome.to_report())

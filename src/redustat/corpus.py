@@ -101,8 +101,9 @@ class CorpusConfig:
     def __post_init__(self) -> None:
         if not self.entries:
             raise EmptyCorpusError("corpus has no entries")
-        if self.parallelism < 1:
-            raise CorpusConfigError("parallelism must be >= 1")
+        # A bool is an int, but true is no worker count.
+        if type(self.parallelism) is not int or self.parallelism < 1:
+            raise CorpusConfigError("parallelism must be an integer >= 1")
         names = [entry.name for entry in self.entries]
         if len(set(names)) != len(names):
             raise CorpusConfigError("entry names must be unique")
@@ -139,10 +140,22 @@ def load_corpus_config(path: str | Path) -> CorpusConfig:
     except json.JSONDecodeError as exc:
         raise CorpusConfigError(f"config is not valid JSON: {exc}") from None
 
+    if not isinstance(raw, dict):
+        raise CorpusConfigError("config must be a JSON object")
     base = path.parent
     try:
+        if not isinstance(raw["entries"], list):
+            raise CorpusConfigError("entries must be a list")
+        if not isinstance(raw.get("output_dir", ""), str):
+            raise CorpusConfigError("output_dir must be a string")
         entries = []
         for raw_entry in raw["entries"]:
+            if not isinstance(raw_entry, dict):
+                raise CorpusConfigError(f"entry {raw_entry!r} is not an object")
+            for key in ("name", "project", "test_file", "tree_file"):
+                if not isinstance(raw_entry.get(key, ""), str):
+                    raise CorpusConfigError(
+                        f"entry {raw_entry.get('name')!r}: {key} must be a string")
             if "test_file" in raw_entry:
                 test_path = base / raw_entry["test_file"]
                 is_tree = False

@@ -128,9 +128,6 @@ class TestCaseAst:
 
     # -- lookups ---------------------------------------------------------
 
-    def node(self, node_id: int) -> StatementNode:
-        return self.statements[node_id]
-
     @property
     def total_statements(self) -> int:
         return len(self.statements)

@@ -45,7 +45,7 @@ import tempfile
 import time
 from dataclasses import dataclass
 from enum import Enum
-from typing import AbstractSet, Protocol
+from typing import AbstractSet, ClassVar, Protocol
 
 from .model import TestCaseAst, render
 
@@ -157,7 +157,9 @@ class ScriptedOracle:
 
     failure_sets: tuple[frozenset[int], ...]
     blockers: frozenset[int] = frozenset()
-    match_policy: MatchPolicy = MatchPolicy.ANY_FAILURE
+    # Every failing verdict carries SCRIPTED_SIGNATURE, so no other policy
+    # would reduce differently.
+    match_policy: ClassVar[MatchPolicy] = MatchPolicy.ANY_FAILURE
 
     def __post_init__(self) -> None:
         if not self.failure_sets:

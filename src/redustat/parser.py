@@ -132,11 +132,16 @@ def tokenize(source: str) -> tuple[list[str], list[int]]:
 
 _UNSUPPORTED_STARTERS = {"switch", "class", "interface", "enum", "record"}
 
+#: Tree keywords whose body follows a ``( ... )`` header, and their kinds;
+#: ``_Parser._for_kind`` tells a ``for`` from a for-each loop.
+_HEADED_KINDS = {
+    "if": StmtKind.IF, "while": StmtKind.WHILE, "for": StmtKind.FOR,
+    "synchronized": StmtKind.SYNCHRONIZED,
+}
+
 #: First tokens that ``_Parser.parse_statement`` reads; any other statement
 #: but a label is a leaf, read to its ';'.
-_STATEMENT_STARTERS = {
-    ";", "{", "if", "while", "for", "do", "try", "synchronized",
-} | _UNSUPPORTED_STARTERS
+_STATEMENT_STARTERS = {";", "{", "do", "try"} | _HEADED_KINDS.keys() | _UNSUPPORTED_STARTERS
 
 #: Leaves told apart by their first token; any other leaf is an expression.
 _JUMP_KINDS = {
@@ -161,22 +166,9 @@ class _Parser:
         self.pos = 0
         self.nodes: list[StatementNode | None] = []
 
-    # Nodes are numbered in depth-first pre-order as the parser descends: a
-    # tree statement reserves its id before its children take theirs, and its
-    # node fills that slot once its last branch has been read.
-
     def parse_body(self) -> tuple[tuple[StatementNode, ...], tuple[int, ...]]:
         roots = tuple(self.parse_statements(None, stop_at_brace=False))
         return tuple(self.nodes), roots  # type: ignore[arg-type]  # slots filled
-
-    def _reserve(self) -> int:
-        self.nodes.append(None)
-        return len(self.nodes) - 1
-
-    def _fill(self, node_id: int, kind: StmtKind, span: tuple[int, int],
-              children: list[int], parent: int | None) -> int:
-        self.nodes[node_id] = StatementNode(node_id, kind, span, tuple(children), parent)
-        return node_id
 
     # -- token helpers ---------------------------------------------------
 
@@ -269,37 +261,71 @@ class _Parser:
 
     def parse_statement(self, parent: int | None) -> int:
         """A statement that starts with one of ``_STATEMENT_STARTERS``, or a
-        label."""
+        label: its keyword and header, its first braced body, then the
+        clauses of its kind (``else``, ``else if``, ``catch``, ``finally`` or
+        the ``while ( ... ) ;`` of a ``do``).
+
+        The node's id is taken before its children take theirs, so ids stay
+        in depth-first pre-order, and its slot is filled once its last
+        clause has been read.
+        """
         first = self.pos
         text = self.texts[first]
         start = self._start(first)
         if text in _UNSUPPORTED_STARTERS:
             raise UnsupportedConstructError(text, *_line_column(self.source, start))
         if text == ";":
-            self._next()
-            return self._fill(self._reserve(), StmtKind.EMPTY,
-                              (start, self.ends[first]), [], parent)
-        if text == "{":
-            return self._single_body(StmtKind.BLOCK, start, parent)
-        if text == "if":
-            return self._if_statement(parent)
-        if text == "while":
-            self._next()
+            kind = StmtKind.EMPTY
+        elif text == "{":
+            kind = StmtKind.BLOCK
+        else:
+            self.pos += 1
+            kind = _HEADED_KINDS.get(text)
+            if kind is not None:
+                opener = self._skip_parenthesized()
+                if kind is StmtKind.FOR:
+                    kind = self._for_kind(opener)
+            elif text == "do":
+                kind = StmtKind.DO_WHILE
+            elif text == "try":
+                kind = StmtKind.TRY
+                if self._peek() == "(":
+                    self._skip_parenthesized()  # try-with-resources header
+            else:
+                kind = StmtKind.LABELED
+                self._next(":")
+        node_id = len(self.nodes)
+        self.nodes.append(None)
+        children: list[int] = []
+        if kind is StmtKind.EMPTY:
+            end = self.ends[self._next()]
+        else:
+            end = self._body(kind, node_id, children)
+        if kind is StmtKind.IF:
+            while self._peek() == "else":
+                self._next()
+                chained = self._peek() == "if"
+                if chained:
+                    self._next()
+                    self._skip_parenthesized()
+                end = self._body(kind, node_id, children)
+                if not chained:
+                    break
+        elif kind is StmtKind.TRY:
+            while self._peek() == "catch":
+                self._next()
+                self._skip_parenthesized()
+                end = self._body(kind, node_id, children)
+            if self._peek() == "finally":
+                self._next()
+                end = self._body(kind, node_id, children)
+        elif kind is StmtKind.DO_WHILE:
+            self._next("while")
             self._skip_parenthesized()
-            return self._single_body(StmtKind.WHILE, start, parent)
-        if text == "for":
-            self._next()
-            kind = self._for_kind(self._skip_parenthesized())
-            return self._single_body(kind, start, parent)
-        if text == "do":
-            return self._do_while(parent)
-        if text == "try":
-            return self._try_statement(parent)
-        if text == "synchronized":
-            self._next()
-            self._skip_parenthesized()
-            return self._single_body(StmtKind.SYNCHRONIZED, start, parent)
-        return self._labeled_statement(parent)
+            end = self.ends[self._next(";")]
+        self.nodes[node_id] = StatementNode(
+            node_id, kind, (start, end), tuple(children), parent)
+        return node_id
 
     def _for_kind(self, opener: int) -> StmtKind:
         """FOR with two ';' at the header's own depth, else FOR_EACH with a ':'."""
@@ -321,63 +347,6 @@ class _Parser:
         self._next("{")
         children += self.parse_statements(node_id, stop_at_brace=True)
         return self.ends[self._next("}")]
-
-    def _single_body(self, kind: StmtKind, start: int, parent: int | None) -> int:
-        node_id = self._reserve()
-        children: list[int] = []
-        end = self._body(kind, node_id, children)
-        return self._fill(node_id, kind, (start, end), children, parent)
-
-    def _if_statement(self, parent: int | None) -> int:
-        """An ``if``/``else if``/``else`` chain is one node; the branches'
-        statements are its children in source order."""
-        start = self._start(self._next("if"))
-        self._skip_parenthesized()
-        node_id = self._reserve()
-        children: list[int] = []
-        end = self._body(StmtKind.IF, node_id, children)
-        while self._peek() == "else":
-            self._next()
-            chained = self._peek() == "if"
-            if chained:
-                self._next()
-                self._skip_parenthesized()
-            end = self._body(StmtKind.IF, node_id, children)
-            if not chained:
-                break
-        return self._fill(node_id, StmtKind.IF, (start, end), children, parent)
-
-    def _do_while(self, parent: int | None) -> int:
-        start = self._start(self._next("do"))
-        node_id = self._reserve()
-        children: list[int] = []
-        self._body(StmtKind.DO_WHILE, node_id, children)
-        self._next("while")
-        self._skip_parenthesized()
-        end = self.ends[self._next(";")]
-        return self._fill(node_id, StmtKind.DO_WHILE, (start, end), children, parent)
-
-    def _try_statement(self, parent: int | None) -> int:
-        """``try``, its ``catch`` clauses and ``finally`` are one node."""
-        start = self._start(self._next("try"))
-        if self._peek() == "(":
-            self._skip_parenthesized()  # try-with-resources header
-        node_id = self._reserve()
-        children: list[int] = []
-        end = self._body(StmtKind.TRY, node_id, children)
-        while self._peek() == "catch":
-            self._next()
-            self._skip_parenthesized()
-            end = self._body(StmtKind.TRY, node_id, children)
-        if self._peek() == "finally":
-            self._next()
-            end = self._body(StmtKind.TRY, node_id, children)
-        return self._fill(node_id, StmtKind.TRY, (start, end), children, parent)
-
-    def _labeled_statement(self, parent: int | None) -> int:
-        start = self._start(self._next())
-        self._next(":")
-        return self._single_body(StmtKind.LABELED, start, parent)
 
 
 def _is_word(text: str) -> bool:

@@ -46,3 +46,23 @@ def test_a_failed_run_keeps_later_runs_paired():
     [line] = bench.summarize(record)
     assert "change 0.8 [0.8, 0.8] (9 runs)" in line and "won 9 of 10" not in line
     assert "won 9 of 9 pairs" in line and line.endswith("gain rule not met")
+
+
+def test_alternation_continues_across_invocations(tmp_path, monkeypatch):
+    for label in ("parent", "change"):
+        (tmp_path / label / "benchmark").mkdir(parents=True)
+        (tmp_path / label / "benchmark" / "run.py").touch()
+    order = []
+
+    def run_once(root, workload, seed, trace):
+        order.append(root.name)
+        return {"workload": workload, "seed": seed, "trace": trace, "exit": 0}
+
+    monkeypatch.setattr(bench, "run_once", run_once)
+    monkeypatch.setattr(bench, "commit_of", lambda root: "0" * 40)
+    argv = [str(tmp_path / "BENCH.json"), "--repeat", "1", "--workload", "study",
+            "--trace", "0", "--checkout", f"parent={tmp_path / 'parent'}",
+            "--checkout", f"change={tmp_path / 'change'}"]
+    assert bench.main(argv) == 0
+    assert bench.main(argv) == 0
+    assert order == ["parent", "change", "change", "parent"]

@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+from redustat.cli import main
 from redustat.corpus import (
     CorpusConfigError,
     load_corpus_config,
@@ -144,6 +145,37 @@ def test_entry_names_that_are_not_file_names_rejected(tmp_path, name):
     with pytest.raises(CorpusConfigError):
         load_corpus_config(write_corpus(tmp_path, entries))
     assert sorted(p.name for p in tmp_path.iterdir()) == ["corpus.json", "tests"]
+
+
+# Each case maps a config (or, under "entry", fields that override a valid
+# entry's) to the config error it raises.
+MALFORMED_CONFIG_CASES = [
+    ([], "config must be a JSON object"),
+    ({"entries": {"a": 1}}, "entries must be a list"),
+    ({"entries": [3]}, "entry 3 is not an object"),
+    ({"output_dir": 3}, "output_dir must be a string"),
+    ({"parallelism": "2"}, "parallelism must be an integer >= 1"),
+    ({"parallelism": True}, "parallelism must be an integer >= 1"),
+    ({"entry": {"name": 3}}, "entry 3: name must be a string"),
+    ({"entry": {"project": None}}, "entry 'solo': project must be a string"),
+    ({"entry": {"test_file": 1}}, "entry 'solo': test_file must be a string"),
+    ({"entry": {"tree_file": ["t.json"]}}, "entry 'solo': tree_file must be a string"),
+]
+
+
+@pytest.mark.parametrize("config, message", MALFORMED_CONFIG_CASES)
+def test_malformed_config_is_a_config_error(tmp_path, capsys, config, message):
+    if isinstance(config, dict):
+        fields = dict(entry("solo", "a();\n", [[0]], tmp_path), **config.get("entry", {}))
+        config = {"corpus_name": "mini", "entries": [fields],
+                  **{key: value for key, value in config.items() if key != "entry"}}
+    path = tmp_path / "corpus.json"
+    path.write_text(json.dumps(config), encoding="utf-8")
+    with pytest.raises(CorpusConfigError) as info:
+        load_corpus_config(path)
+    assert str(info.value) == message
+    assert main(["corpus", str(path)]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
 
 
 def command_entry(name, tmp_path, **oracle):

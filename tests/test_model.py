@@ -108,7 +108,7 @@ def test_counts_match_independent_recursive_tally():
         ast = random_ast(rng)
 
         def tally(node_id):
-            node = ast.node(node_id)
+            node = ast.statements[node_id]
             total = 1
             leaves = 0 if node.kind in TREE_KINDS else 1
             for child in node.children:
@@ -181,9 +181,9 @@ def test_count_additivity_over_random_splits():
         ids = sorted(ast.all_ids())
         removed = {i for i in ids if rng.random() < 0.5}
         removed_tn = sum(1 for i in removed
-                         if ast.node(i).category is Category.TREE)
+                         if ast.statements[i].category is Category.TREE)
         removed_ntn = sum(1 for i in removed
-                          if ast.node(i).category is Category.NON_TREE)
+                          if ast.statements[i].category is Category.NON_TREE)
         assert removed_ntn + removed_tn == len(removed)
 
 

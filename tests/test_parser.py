@@ -231,6 +231,15 @@ PARSE_ERROR_CASES = [
     ("for (nothing) { a(); }", ("for header needs either two ';' or a ':'", 1, 1)),
     ("foo();\nswitch (x) { }", ("unsupported construct 'switch'", 2, 1)),
     ("a(); class X { }", ("unsupported construct 'class'", 1, 6)),
+    ("synchronized lock { }", ("expected '(', found 'lock'", 1, 14)),
+    ("try { } finally x();", ("Try body must be a braced block", 1, 17)),
+    ("try { } catch { }", ("expected '(', found '{'", 1, 15)),
+    ("do x(); while (y);", ("DoWhile body must be a braced block", 1, 4)),
+    ("if (a) { } else if b { }", ("expected '(', found 'b'", 1, 20)),
+    ("if (a) { } else", ("If body must be a braced block", 1, 12)),
+    ("for (;;) x();", ("For body must be a braced block", 1, 10)),
+    ("{ a();", ("missing closing '}'", 1, 6)),
+    ("lbl: { } x", ("statement not terminated by ';'", 1, 10)),
 ]
 
 

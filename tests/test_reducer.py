@@ -271,10 +271,10 @@ def frozenset_sweep(session, order, retained, tree_key=end_descending):
     ``tree_key``, leaves by descending span start, ties by id; the reducer's
     ``order`` is not read."""
     ast = session.ast
-    tree_ids = [i for i in retained if ast.node(i).category is Category.TREE]
-    leaf_ids = [i for i in retained if ast.node(i).category is Category.NON_TREE]
-    tree_ids.sort(key=lambda i: (tree_key(ast.node(i)), i))
-    leaf_ids.sort(key=lambda i: (-ast.node(i).span[0], i))
+    tree_ids = [i for i in retained if ast.statements[i].category is Category.TREE]
+    leaf_ids = [i for i in retained if ast.statements[i].category is Category.NON_TREE]
+    tree_ids.sort(key=lambda i: (tree_key(ast.statements[i]), i))
+    leaf_ids.sort(key=lambda i: (-ast.statements[i].span[0], i))
     changed = False
     for node_id in tree_ids + leaf_ids:
         if node_id not in retained:

@@ -4,10 +4,12 @@
 Each checkout is named ``LABEL=DIR``. For every workload, seed and trace
 setting, ``benchmark/run.py`` runs for ``SECONDS`` once per checkout from
 that checkout's root, ``--repeat`` times, and the order of the checkouts
-alternates from one repetition to the next. The result line, the
-``unmeasured:`` and ``measured, before rescaling:`` lines, and the
-checkout's commit id are appended to the output file's ``runs``, so several
-invocations can add to one ``BENCH_<n>.json``. Example, from the repository root:
+alternates from one repetition to the next, continuing from the runs that
+the output file already holds for that workload, seed and trace setting.
+The result line, the ``unmeasured:`` and ``measured, before rescaling:``
+lines, and the checkout's commit id are appended to the output file's
+``runs``, so several invocations can add to one ``BENCH_<n>.json``.
+Example, from the repository root:
 
     python3 tools/bench.py BENCH_6.json --checkout parent=../parent --checkout change=.
 
@@ -140,7 +142,9 @@ def main(argv: list[str] | None = None) -> int:
     for workload in args.workload or WORKLOADS:
         for seed in args.seed or [1]:
             for trace in args.trace or [0, 1]:
-                for repetition in range(args.repeat):
+                done = sum((run["workload"], run["seed"], run["trace"]) == (workload, seed, trace)
+                           for run in record["runs"]) // len(checkouts)
+                for repetition in range(done, done + args.repeat):
                     order = checkouts if repetition % 2 == 0 else checkouts[::-1]
                     for label, root, commit in order:
                         run = run_once(root, workload, seed, trace)

@@ -119,7 +119,7 @@ def main() -> None:
         assert minimal == ancestor_closure(ast, failure_set)
         removed = ast.all_ids() - minimal
         removed_tn = sum(1 for i in removed
-                         if ast.node(i).category is Category.TREE)
+                         if ast.statements[i].category is Category.TREE)
         project = PROJECTS[(index - 1) % len(PROJECTS)]
         records.append(compute_metrics(
             count_categories(ast),
