@@ -24,7 +24,10 @@ is an entry error. The corpus ``policy`` sets a command oracle's
 ``match_policy``.
 
 Entries are reduced in parallel up to ``parallelism``; each entry is
-isolated, so one failing entry never corrupts its siblings. A command runs
+isolated, so one failing entry never corrupts its siblings. A parallel run
+starts the entries with the largest test files first, so that no worker sits
+idle at the end while another works through a large entry; records, entry
+statuses and reports still come out in config order. A command runs
 in its entry's ``workdir`` (without one, in the current directory) and may
 write there, so with ``parallelism`` above 1 no two command entries may share
 a workdir. Per-entry reduction reports (with the removal trace) land in
@@ -176,11 +179,16 @@ def load_corpus_config(path: str | Path) -> CorpusConfig:
                 is_tree_document=is_tree,
                 oracle_spec=oracle_spec,
             ))
+        if not isinstance(raw["corpus_name"], str):
+            raise CorpusConfigError("corpus_name must be a string")
+        policy = raw.get("policy", "same")
+        if policy not in ("any", "same"):
+            raise CorpusConfigError(f"policy must be 'any' or 'same', not {policy!r}")
         return CorpusConfig(
             corpus_name=raw["corpus_name"],
             entries=entries,
             output_dir=base / raw.get("output_dir", "out"),
-            policy=MatchPolicy(raw.get("policy", "same")),
+            policy=MatchPolicy(policy),
             parallelism=raw.get("parallelism", 1),
             source_text=text,
         )
@@ -210,6 +218,15 @@ def _run_entry(entry: CorpusEntry, policy: MatchPolicy) -> _EntryResult:
                                         f"{type(exc).__name__}: {exc}"))
 
 
+def _file_size(entry: CorpusEntry) -> int:
+    """Bytes in the entry's test file; 0 when it cannot be read, so that
+    ``_run_entry`` reports the error."""
+    try:
+        return entry.test_path.stat().st_size
+    except OSError:
+        return 0
+
+
 def run_corpus(config: CorpusConfig, write: bool = True) -> ReportBundle:
     """Reduce every entry and assemble the report bundle.
 
@@ -219,9 +236,15 @@ def run_corpus(config: CorpusConfig, write: bool = True) -> ReportBundle:
     if config.parallelism == 1:
         results = [_run_entry(entry, config.policy) for entry in config.entries]
     else:
+        entries = config.entries
+        # Largest test file first (Graham's LPT rule), so the run does not end
+        # with one worker still on a large entry while the others sit idle.
+        order = sorted(range(len(entries)), key=lambda i: -_file_size(entries[i]))
+        results = [None] * len(entries)
         with ThreadPoolExecutor(max_workers=config.parallelism) as pool:
-            results = list(pool.map(lambda e: _run_entry(e, config.policy),
-                                    config.entries))
+            done = pool.map(lambda i: _run_entry(entries[i], config.policy), order)
+            for i, result in zip(order, done):
+                results[i] = result
 
     records = [r.record for r in results if r.record is not None]
     if not records:

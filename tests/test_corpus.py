@@ -2,10 +2,12 @@ import hashlib
 import importlib.util
 import json
 import sys
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import pytest
 
+from redustat import corpus
 from redustat.cli import main
 from redustat.corpus import (
     CorpusConfigError,
@@ -160,6 +162,8 @@ MALFORMED_CONFIG_CASES = [
     ({"entry": {"project": None}}, "entry 'solo': project must be a string"),
     ({"entry": {"test_file": 1}}, "entry 'solo': test_file must be a string"),
     ({"entry": {"tree_file": ["t.json"]}}, "entry 'solo': tree_file must be a string"),
+    ({"corpus_name": 3}, "corpus_name must be a string"),
+    ({"policy": "bogus"}, "policy must be 'any' or 'same', not 'bogus'"),
 ]
 
 
@@ -235,19 +239,70 @@ def test_relative_command_workdir_is_relative_to_the_config(tmp_path, monkeypatc
         load_corpus_config(write_corpus(tmp_path, entries, parallelism=2))
 
 
-def test_parallel_run_equals_serial_run(tmp_path):
-    entries = [
-        entry(f"t{i}", f"a{i}();\nb{i}();\nc{i}();\nd{i}();\n", [[i % 4]], tmp_path)
-        for i in range(8)
+def _growing_entries(tmp_path, count):
+    """Entries listed smallest test file first, so largest-first dispatch
+    runs them in the reverse of config order."""
+    return [
+        entry(f"t{i}", "".join(f"s{i}_{j}();\n" for j in range(i + 2)),
+              [[i % (i + 2)]], tmp_path)
+        for i in range(count)
     ]
+
+
+def _without_wall_time(reports):
+    return [{key: value for key, value in report.items() if key != "wall_time_ms"}
+            for report in reports]
+
+
+def test_parallel_run_equals_serial_run(tmp_path):
+    entries = _growing_entries(tmp_path, 8)
+    entries.insert(3, dict(entries[0], name="missing", test_file="tests/missing.java"))
     serial = run_corpus(load_corpus_config(write_corpus(tmp_path, entries)),
                         write=False)
-    parallel = run_corpus(
-        load_corpus_config(write_corpus(tmp_path, entries, parallelism=4)),
-        write=False)
-    assert serial.records == parallel.records
-    assert [s.name for s in serial.entry_statuses] == \
-        [s.name for s in parallel.entry_statuses]
+    assert [r.test_name for r in serial.records] == [f"t{i}" for i in range(8)]
+    missing = serial.entry_statuses[3]
+    assert missing.name == "missing" and not missing.ok
+    assert missing.error.startswith("FileNotFoundError: ")
+    for parallelism in (2, 4):
+        parallel = run_corpus(
+            load_corpus_config(write_corpus(tmp_path, entries, parallelism=parallelism)),
+            write=False)
+        assert serial.records == parallel.records
+        assert serial.entry_statuses == parallel.entry_statuses
+        assert _without_wall_time(serial.reduction_reports) == \
+            _without_wall_time(parallel.reduction_reports)
+
+
+def test_parallel_run_starts_the_largest_test_files_first(tmp_path, monkeypatch):
+    entries = _growing_entries(tmp_path, 5)
+    # A missing file sorts as size 0; equal sizes keep config order.
+    entries.insert(1, dict(entries[0], name="missing", test_file="tests/missing.java"))
+    entries.append(dict(entries[-1], name="t4-again"))
+    started = []
+    run_entry = corpus._run_entry
+
+    def recording(entry, policy):
+        started.append(entry.name)
+        return run_entry(entry, policy)
+
+    workers = []
+
+    def one_worker_pool(max_workers):
+        # One worker takes the jobs in the order they were submitted.
+        workers.append(max_workers)
+        return ThreadPoolExecutor(max_workers=1)
+
+    monkeypatch.setattr(corpus, "_run_entry", recording)
+    monkeypatch.setattr(corpus, "ThreadPoolExecutor", one_worker_pool)
+    bundle = run_corpus(load_corpus_config(write_corpus(tmp_path, entries, parallelism=3)),
+                        write=False)
+    assert workers == [3]
+    assert started == ["t4", "t4-again", "t3", "t2", "t1", "t0", "missing"]
+    assert [s.name for s in bundle.entry_statuses] == [e["name"] for e in entries]
+    started.clear()
+    run_corpus(load_corpus_config(write_corpus(tmp_path, entries)), write=False)
+    assert workers == [3]  # a serial run uses no pool
+    assert started == [e["name"] for e in entries]
 
 
 def test_tree_document_entries_are_supported(tmp_path):
