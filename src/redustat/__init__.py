@@ -60,7 +60,7 @@ from .reports import (
     five_number_summary,
     stats_block,
 )
-from .replicate import load_fixture_records, replicate_from_fixtures
+from .replicate import replicate_from_fixtures
 from .corpus import CorpusConfig, CorpusEntry, load_corpus_config, run_corpus
 
 __version__ = "0.1.0"

@@ -31,8 +31,8 @@ statuses and reports still come out in config order. A command runs
 in its entry's ``workdir`` (without one, in the current directory) and may
 write there, so with ``parallelism`` above 1 no two command entries may share
 a workdir. Per-entry reduction reports (with the removal trace) land in
-``<output_dir>/reductions/<name>.json``, so entry names must be unique and
-must not contain a path separator.
+``<output_dir>/reductions/<name>.json``, so entry names must be unique file
+names: not empty, ``.`` or ``..``, and without a path separator or NUL.
 """
 
 from __future__ import annotations
@@ -112,7 +112,7 @@ class CorpusConfig:
             raise CorpusConfigError("entry names must be unique")
         for name in names:
             # The name is the file name of the entry's reduction report.
-            if "/" in name or "\\" in name or name in (".", ".."):
+            if name in ("", ".", "..") or any(c in name for c in "/\\\0"):
                 raise CorpusConfigError(f"entry name {name!r} is not a file name")
         if self.parallelism > 1:
             self._check_workdirs_are_not_shared()

@@ -168,18 +168,16 @@ def _commit(kept: set[int], within: dict[frozenset[int], bool],
 
 
 class _Session:
-    """Shared state for one reduction: oracle plumbing and counters."""
+    """Shared state for one reduction: oracle plumbing and the trace."""
 
     def __init__(self, ast: TestCaseAst, oracle: Oracle, baseline: str):
         self.ast = ast
         self.oracle = oracle
         self.baseline = baseline
         self.policy = oracle.match_policy
-        self.calls = 0
         self.trace: list[TraceEntry] = []
 
     def accepts(self, retained: Set[int]) -> tuple[bool, OracleVerdict]:
-        self.calls += 1
         verdict = evaluate(self.oracle, retained, self.ast)
         return verdict_accepted(verdict, self.baseline, self.policy), verdict
 
@@ -225,7 +223,6 @@ def reduce_test(ast: TestCaseAst, oracle: Oracle) -> ReductionOutcome:
     started = time.monotonic()
     baseline = baseline_signature(oracle, ast)
     session = _Session(ast, oracle, baseline)
-    session.calls += 1  # the baseline evaluation above
 
     order = _sweep_order(ast)
     retained = ast.all_ids()
@@ -244,7 +241,7 @@ def reduce_test(ast: TestCaseAst, oracle: Oracle) -> ReductionOutcome:
         removed=removed,
         removed_ntn=len(removed) - removed_tn,
         removed_tn=removed_tn,
-        oracle_calls=session.calls,
+        oracle_calls=1 + len(session.trace),  # the baseline, then one per candidate
         wall_time_ms=(time.monotonic() - started) * 1000.0,
         minimal_source=render(ast, retained),
         baseline=baseline,

@@ -18,7 +18,7 @@ from __future__ import annotations
 from importlib import resources
 from pathlib import Path
 
-from .metrics import MetricsRecord, read_records_csv
+from .metrics import read_records_csv
 from .reports import ReportBundle, assemble_bundle
 
 #: Fixture identifiers accepted by ``replicate``: live corpus tables.
@@ -36,12 +36,6 @@ def _table_source(table: str, fixture_path: str | Path | None) -> str:
     if fixture_path is not None:
         return Path(fixture_path).read_text(encoding="utf-8")
     return fixture_text(FIXTURE_TABLES[table])
-
-
-def load_fixture_records(table: str,
-                         fixture_path: str | Path | None = None) -> list[MetricsRecord]:
-    """Records of Table I or II, probability columns derived from counts."""
-    return read_records_csv(_table_source(table, fixture_path))
 
 
 def replicate_from_fixtures(table: str,

@@ -12,7 +12,8 @@ semantics are implemented here precisely:
   and continuity correction ``sign(V - mean) * 0.5``.
 - Shapiro-Wilk: the Royston AS R94 approximation (the algorithm behind both
   R and the usual scientific-Python implementation), with the high-precision
-  AS 241 normal quantile.
+  AS 241 normal quantile that the standard library's ``NormalDist.inv_cdf``
+  implements.
 
 Tie detection happens on double-precision differences, exactly as a user
 feeding the same columns to R would get: values that are equal on paper but
@@ -24,8 +25,10 @@ Everything here is a pure function of its inputs and thread-safe.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
+from statistics import NormalDist
 from typing import Sequence
 
 
@@ -146,10 +149,8 @@ def _exact_two_sided_p(v: int, n: int) -> float:
 
 
 def _approx_two_sided_p(v: float, n: int, magnitudes: Sequence[float]) -> float:
-    tie_sizes: dict[float, int] = {}
-    for m in magnitudes:
-        tie_sizes[m] = tie_sizes.get(m, 0) + 1
-    correction_for_ties = sum(t ** 3 - t for t in tie_sizes.values()) / 48.0
+    tie_sizes = Counter(magnitudes).values()
+    correction_for_ties = sum(t ** 3 - t for t in tie_sizes) / 48.0
     sigma2 = n * (n + 1) * (2 * n + 1) / 24.0 - correction_for_ties
     sigma = math.sqrt(sigma2)
     centred = v - n * (n + 1) / 4.0
@@ -195,7 +196,8 @@ def _w_statistic(data: list[float]) -> float:
         coeffs = [math.sqrt(0.5)]
     else:
         an25 = n + 0.25
-        m = [_ppnd16((i - 0.375) / an25) for i in range(1, half + 1)]
+        quantile = NormalDist().inv_cdf
+        m = [quantile((i - 0.375) / an25) for i in range(1, half + 1)]
         summ2 = 2.0 * sum(v * v for v in m)
         ssumm2 = math.sqrt(summ2)
         rsn = 1.0 / math.sqrt(n)
@@ -264,44 +266,3 @@ def _norm_sf(z: float) -> float:
     """Upper tail of the standard normal distribution."""
     return 0.5 * math.erfc(z / math.sqrt(2.0))
 
-
-def _ppnd16(p: float) -> float:
-    """Normal quantile function, AS 241 algorithm PPND16 (~1e-16 accuracy)."""
-    q = p - 0.5
-    if abs(q) <= 0.425:
-        r = 0.180625 - q * q
-        num = (((((((2.5090809287301226727e3 * r + 3.3430575583588128105e4) * r
-                    + 6.7265770927008700853e4) * r + 4.5921953931549871457e4) * r
-                  + 1.3731693765509461125e4) * r + 1.9715909503065514427e3) * r
-                + 1.3314166789178437745e2) * r + 3.3871328727963666080e0)
-        den = (((((((5.2264952788528545610e3 * r + 2.8729085735721942674e4) * r
-                    + 3.9307895800092710610e4) * r + 2.1213794301586595867e4) * r
-                  + 5.3941960214247511077e3) * r + 6.8718700749205790830e2) * r
-                + 4.2313330701600911252e1) * r + 1.0)
-        return q * num / den
-    r = p if q < 0 else 1.0 - p
-    if r <= 0.0:
-        raise ValueError("quantile argument out of range")
-    r = math.sqrt(-math.log(r))
-    if r <= 5.0:
-        r -= 1.6
-        num = (((((((7.74545014278341407640e-4 * r + 2.27238449892691845833e-2) * r
-                    + 2.41780725177450611770e-1) * r + 1.27045825245236838258e0) * r
-                  + 3.64784832476320460504e0) * r + 5.76949722146069140550e0) * r
-                + 4.63033784615654529590e0) * r + 1.42343711074968357734e0)
-        den = (((((((1.05075007164441684324e-9 * r + 5.47593808499534494600e-4) * r
-                    + 1.51986665636164571966e-2) * r + 1.48103976427480074590e-1) * r
-                  + 6.89767334985100004550e-1) * r + 1.67638483018380384940e0) * r
-                + 2.05319162663775882187e0) * r + 1.0)
-    else:
-        r -= 5.0
-        num = (((((((2.01033439929228813265e-7 * r + 2.71155556874348757815e-5) * r
-                    + 1.24266094738807843860e-3) * r + 2.65321895265761230930e-2) * r
-                  + 2.96560571828504891230e-1) * r + 1.78482653991729133580e0) * r
-                + 5.46378491116411436990e0) * r + 6.65790464350110377720e0)
-        den = (((((((2.04426310338993978564e-15 * r + 1.42151175831644588870e-7) * r
-                    + 1.84631831751005468180e-5) * r + 7.86869131145613259100e-4) * r
-                  + 1.48753612908506148525e-2) * r + 1.36929880922735805310e-1) * r
-                + 5.99832206555887937690e-1) * r + 1.0)
-    value = num / den
-    return -value if q < 0 else value

@@ -11,7 +11,7 @@ from pathlib import Path
 from redustat.corpus import load_corpus_config, run_corpus
 from redustat.oracle import ScriptedOracle, VerdictStatus, evaluate
 from redustat.reducer import brute_force_minimal, reduce_test, verify_one_minimal
-from redustat.replicate import load_fixture_records, replicate_from_fixtures
+from redustat.replicate import replicate_from_fixtures
 from redustat.stats import StatsMethod, shapiro_wilk, wilcoxon_signed_rank
 
 from conftest import derive_probability_table, published_probability_rows, random_ast
@@ -73,7 +73,7 @@ def test_criterion_3_wilcoxon_pntrs_vs_ptrs():
         ("I", 435.0, 2.4e-06, 3.0e-06),
         ("II", 465.0, 1.6e-06, 2.0e-06),
     ):
-        records = load_fixture_records(table)
+        records = replicate_from_fixtures(table).records
         result = wilcoxon_signed_rank([r.pntrs * 100 for r in records],
                                       [r.ptrs * 100 for r in records])
         results.append((table, result))
@@ -94,7 +94,7 @@ def test_criterion_4_wilcoxon_probability_columns():
         ("I", 109.5, 0.5731, 22),
         ("II", 42.0, 0.5426, 14),
     ):
-        rows = derive_probability_table(load_fixture_records(table))
+        rows = derive_probability_table(replicate_from_fixtures(table).records)
         result = wilcoxon_signed_rank([a * 100 for _, a, _ in rows],
                                       [b * 100 for _, _, b in rows])
         ok_here = (len(rows) == rows_expected
@@ -111,8 +111,8 @@ def test_criterion_4_wilcoxon_probability_columns():
 
 
 def test_criterion_5_probability_exclusion_rule():
-    derived1 = derive_probability_table(load_fixture_records("I"))
-    derived2 = derive_probability_table(load_fixture_records("II"))
+    derived1 = derive_probability_table(replicate_from_fixtures("I").records)
+    derived2 = derive_probability_table(replicate_from_fixtures("II").records)
     names1 = sorted(name for name, _, _ in derived1)
     names2 = sorted(name for name, _, _ in derived2)
     published1 = sorted(name for name, _, _ in published_probability_rows("I"))
@@ -125,7 +125,7 @@ def test_criterion_5_probability_exclusion_rule():
 
 
 def test_criterion_6_shapiro_wilk():
-    records = load_fixture_records("I")
+    records = replicate_from_fixtures("I").records
     ptrs = shapiro_wilk([r.ptrs * 100 for r in records])
     pinned = shapiro_wilk([1, 2, 3, 4, 5, 6, 7, 8, 9, 10])
     w_ref, p_ref = 0.970164611085606, 0.892367306190298

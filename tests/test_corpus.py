@@ -138,14 +138,16 @@ def test_duplicate_entry_names_rejected(tmp_path):
         load_corpus_config(write_corpus(tmp_path, entries))
 
 
-@pytest.mark.parametrize("name", ["../escaped", "a/b", "a\\b", ".", ".."])
+@pytest.mark.parametrize("name", ["../escaped", "a/b", "a\\b", ".", "..", "", "a\u0000b"])
 def test_entry_names_that_are_not_file_names_rejected(tmp_path, name):
     entries = [
         entry("fine", "a();\n", [[0]], tmp_path),
         dict(entry("other", "b();\n", [[0]], tmp_path), name=name),
     ]
+    config = write_corpus(tmp_path, entries)
     with pytest.raises(CorpusConfigError):
-        load_corpus_config(write_corpus(tmp_path, entries))
+        load_corpus_config(config)
+    assert main(["corpus", str(config)]) == 2
     assert sorted(p.name for p in tmp_path.iterdir()) == ["corpus.json", "tests"]
 
 

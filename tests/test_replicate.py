@@ -2,7 +2,7 @@ from collections import Counter
 
 import pytest
 
-from redustat.replicate import load_fixture_records, replicate_from_fixtures
+from redustat.replicate import replicate_from_fixtures
 
 from conftest import derive_probability_table, published_probability_rows
 
@@ -16,23 +16,23 @@ PUBLISHED_TYPOS = {
 
 
 def test_fixture_row_counts():
-    assert len(load_fixture_records("I")) == 30
-    assert len(load_fixture_records("II")) == 30
+    assert len(replicate_from_fixtures("I").records) == 30
+    assert len(replicate_from_fixtures("II").records) == 30
 
 
 def test_unknown_table_rejected():
     with pytest.raises(ValueError):
-        load_fixture_records("III")
+        replicate_from_fixtures("III")
 
 
 def test_probability_filter_row_counts():
-    assert len(derive_probability_table(load_fixture_records("I"))) == 22
-    assert len(derive_probability_table(load_fixture_records("II"))) == 14
+    assert len(derive_probability_table(replicate_from_fixtures("I").records)) == 22
+    assert len(derive_probability_table(replicate_from_fixtures("II").records)) == 14
 
 
 def test_derived_names_match_published_tables():
     for table in ("I", "II"):
-        derived = derive_probability_table(load_fixture_records(table))
+        derived = derive_probability_table(replicate_from_fixtures(table).records)
         published = published_probability_rows("I" if table == "I" else "II")
         assert Counter(name for name, _, _ in derived) == \
             Counter(name for name, _, _ in published)
@@ -40,8 +40,8 @@ def test_derived_names_match_published_tables():
 
 def test_derived_values_match_published_tables_modulo_typos():
     for table in ("I", "II"):
-        derived = {name: (a, b)
-                   for name, a, b in derive_probability_table(load_fixture_records(table))}
+        records = replicate_from_fixtures(table).records
+        derived = {name: (a, b) for name, a, b in derive_probability_table(records)}
         for name, prntrs, prtrs in published_probability_rows(table):
             mine = derived[name]
             if (table, name) in PUBLISHED_TYPOS:

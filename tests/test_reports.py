@@ -4,7 +4,7 @@ import statistics
 import pytest
 
 from redustat.metrics import compute_metrics
-from redustat.replicate import load_fixture_records
+from redustat.replicate import replicate_from_fixtures
 from redustat.reports import (
     EntryStatus,
     FiveNumberSummary,
@@ -46,7 +46,7 @@ def test_outliers_beyond_whiskers():
 
 
 def test_mutants_ptrs_summary_from_fixture():
-    records = load_fixture_records("I")
+    records = replicate_from_fixtures("I").records
     table = boxplot_table(records)
     ptrs = table["ptrs"]
     values = sorted(r.ptrs * 100 for r in records)
@@ -75,7 +75,7 @@ def test_stats_block_skips_all_zero_differences():
 
 
 def test_claim_lines_on_fixture_table():
-    records = load_fixture_records("I")
+    records = replicate_from_fixtures("I").records
     block = stats_block(records)
     claim1, claim2 = block["claims"]
     assert claim1.startswith("claim 1")
@@ -85,7 +85,7 @@ def test_claim_lines_on_fixture_table():
 
 
 def test_bundle_write_is_deterministic_except_report(tmp_path):
-    records = load_fixture_records("I")
+    records = replicate_from_fixtures("I").records
     first = assemble_bundle("det", records, "source-text",
                             entry_statuses=[EntryStatus("a", True)])
     second = assemble_bundle("det", records, "source-text",
@@ -104,7 +104,7 @@ def test_bundle_write_is_deterministic_except_report(tmp_path):
 
 
 def test_bundle_files_exist_and_parse(tmp_path):
-    records = load_fixture_records("II")
+    records = replicate_from_fixtures("II").records
     bundle = assemble_bundle("files", records, "src")
     out = bundle.write(tmp_path / "out")
     stats = json.loads((out / "stats.json").read_text())
@@ -129,7 +129,7 @@ def _bundle_with_traces(records, trace_length):
 
 
 def test_rewriting_a_bundle_leaves_no_stale_bytes(tmp_path):
-    records = load_fixture_records("I")
+    records = replicate_from_fixtures("I").records
     _bundle_with_traces(records, 400).write(tmp_path / "reused")
     second = _bundle_with_traces(records[:4], 20)
     second.write(tmp_path / "reused")

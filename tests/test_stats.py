@@ -1,10 +1,12 @@
+import hashlib
 import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from redustat.replicate import load_fixture_records
+from redustat.replicate import replicate_from_fixtures
+from redustat.reports import stats_block
 from redustat.stats import (
     AllZeroDifferencesError,
     ConstantInputError,
@@ -19,7 +21,7 @@ from redustat.stats import (
 
 
 def fixture_columns(table):
-    records = load_fixture_records(table)
+    records = replicate_from_fixtures(table).records
     pntrs = [r.pntrs * 100 for r in records]
     ptrs = [r.ptrs * 100 for r in records]
     pairs = [(r.prntrs * 100, r.prtrs * 100) for r in records
@@ -191,7 +193,7 @@ def test_pinned_ten_element_fixture():
 
 
 def test_mutants_ptrs_normality_rejected():
-    records = load_fixture_records("I")
+    records = replicate_from_fixtures("I").records
     result = shapiro_wilk([r.ptrs * 100 for r in records])
     assert result.p_value < 0.05
 
@@ -248,3 +250,23 @@ def test_w_statistic_is_in_unit_interval():
         result = shapiro_wilk(data)
         assert 0.0 < result.statistic <= 1.0
         assert 0.0 < result.p_value <= 1.0
+
+
+# Every branch of the W coefficients (n == 3, 4-5, > 5) and of its p-value
+# (n == 3, 4-11, > 11), up to the 5 000 limit. Uniform draws need no libm.
+BIT_PINNED_SIZES = (3, 4, 5, 6, 7, 11, 12, 20, 50, 100, 1000, 5000)
+BIT_PINNED_DIGEST = "5902f75c5f0c40e6a061ef00a9031dd9ba31abdbd1d0cd5f8d0ae476742715fc"
+
+
+def test_shapiro_wilk_is_pinned_to_the_bit():
+    lines = []
+    for n in BIT_PINNED_SIZES:
+        rng = random.Random(n)
+        result = shapiro_wilk([rng.random() for _ in range(n)])
+        lines.append(repr((result.statistic, result.p_value)))
+    for table in ("I", "II"):
+        shapiro = stats_block(replicate_from_fixtures(table).records)["shapiro"]
+        for column in ("pntrs", "ptrs", "prntrs", "prtrs"):
+            lines.append(repr((shapiro[column]["statistic"], shapiro[column]["p_value"])))
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert digest == BIT_PINNED_DIGEST, "\n".join(lines)
