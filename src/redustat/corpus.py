@@ -32,7 +32,10 @@ in its entry's ``workdir`` (without one, in the current directory) and may
 write there, so with ``parallelism`` above 1 no two command entries may share
 a workdir. Per-entry reduction reports (with the removal trace) land in
 ``<output_dir>/reductions/<name>.json``, so entry names must be unique file
-names: not empty, ``.`` or ``..``, and without a path separator or NUL.
+names: not empty, ``.`` or ``..``, without a path separator or NUL, and at
+most 255 bytes with the ``.json``. Names and projects are written to UTF-8
+files, so neither may hold a lone surrogate. A config that breaks these rules
+is refused before any entry runs, so no output file is touched.
 """
 
 from __future__ import annotations
@@ -54,6 +57,9 @@ from .reports import EntryStatus, ReportBundle, assemble_bundle
 
 class CorpusConfigError(ValueError):
     """Malformed corpus configuration."""
+
+
+_NAME_MAX = 255  # bytes in a file name on common file systems
 
 
 @dataclass(frozen=True)
@@ -110,9 +116,17 @@ class CorpusConfig:
         names = [entry.name for entry in self.entries]
         if len(set(names)) != len(names):
             raise CorpusConfigError("entry names must be unique")
-        for name in names:
+        for entry in self.entries:
+            name = entry.name
+            try:
+                name.encode("utf-8")
+                entry.project.encode("utf-8")
+            except UnicodeEncodeError as exc:
+                raise CorpusConfigError(
+                    f"entry {name!r}: {exc.object!r} cannot be written as UTF-8") from None
             # The name is the file name of the entry's reduction report.
-            if name in ("", ".", "..") or any(c in name for c in "/\\\0"):
+            if (name in ("", ".", "..") or any(c in name for c in "/\\\0")
+                    or len(os.fsencode(name + ".json")) > _NAME_MAX):
                 raise CorpusConfigError(f"entry name {name!r} is not a file name")
         if self.parallelism > 1:
             self._check_workdirs_are_not_shared()

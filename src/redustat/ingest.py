@@ -8,6 +8,9 @@ the pipeline as a JSON document::
                 "span": [int, int], "children": [int]}],
      "roots": [int]}
 
+Every field must have exactly the type ``json.loads`` gives it (an ``int`` is
+never a ``bool``); a subclass, such as an ``IntEnum`` id, is a wrong type.
+
 Kind strings that match the statement-kind enum are taken as-is; anything
 else maps to ``Block`` when ``has_children`` is true and ``ExpressionStmt``
 otherwise, so foreign grammars degrade gracefully to the tree/leaf split.
@@ -44,21 +47,15 @@ _NODE_FIELDS = (("id", int), ("kind", str), ("has_children", bool), ("span", lis
 _node_fields = itemgetter(*(key for key, _ in _NODE_FIELDS))
 
 
-def _require(mapping: Any, key: str, types: type | tuple, path: str) -> Any:
-    if not isinstance(mapping, dict):
+def _require(mapping: Any, key: str, expected: type, path: str) -> Any:
+    if type(mapping) is not dict:
         raise SchemaError("expected an object", path)
     if key not in mapping:
         raise SchemaError(f"missing field {key!r}", path)
     value = mapping[key]
-    if not isinstance(value, types) or isinstance(value, bool) and types is int:
+    if type(value) is not expected:
         raise SchemaError(f"field {key!r} has wrong type", f"{path}.{key}")
     return value
-
-
-def _is_int(value: Any) -> bool:
-    """An ``int`` other than a bool: the slow path of the inline
-    ``type(value) is int`` checks, for subclasses of ``int``."""
-    return isinstance(value, int) and not isinstance(value, bool)
 
 
 def ingest_tree(document: dict | str, project: str = "") -> TestCaseAst:
@@ -71,7 +68,7 @@ def ingest_tree(document: dict | str, project: str = "") -> TestCaseAst:
     ``0..n-1``, that roots and children name nodes, and that each node has at
     most one parent, in one pass over the nodes. Spans, nesting and
     reachability are left to :class:`TestCaseAst`, whose checks also reject
-    every cycle; only then is the document searched for the cycle to report.
+    every cycle; only then are the parent links searched for a loop to report.
     """
     if isinstance(document, str):
         try:
@@ -84,7 +81,7 @@ def ingest_tree(document: dict | str, project: str = "") -> TestCaseAst:
     raw_nodes = _require(document, "nodes", list, "$")
     raw_roots = _require(document, "roots", list, "$")
     project = document.get("project", project)
-    if not isinstance(project, str):
+    if type(project) is not str:
         raise SchemaError("field 'project' has wrong type", "$.project")
 
     n = len(raw_nodes)
@@ -106,7 +103,8 @@ def ingest_tree(document: dict | str, project: str = "") -> TestCaseAst:
             typed = False
         if not typed:
             node_id, kind_name, has_children, span, children = (
-                _require(raw, key, types, f"$.nodes[{idx}]") for key, types in _NODE_FIELDS)
+                _require(raw, key, expected, f"$.nodes[{idx}]")
+                for key, expected in _NODE_FIELDS)
         placed = 0 <= node_id < n
         if placed:
             duplicate = kinds[node_id] is not None
@@ -115,12 +113,11 @@ def ingest_tree(document: dict | str, project: str = "") -> TestCaseAst:
             stray_ids.add(node_id)
         if duplicate:
             raise SchemaError(f"duplicate node id {node_id}", f"$.nodes[{idx}]")
-        if not (len(span) == 2 and (type(span[0]) is int and type(span[1]) is int
-                                    or _is_int(span[0]) and _is_int(span[1]))):
+        if not (len(span) == 2 and type(span[0]) is int and type(span[1]) is int):
             raise SchemaError("span must be [start, end]", f"$.nodes[{idx}].span")
         for child in children:
-            if type(child) is not int and not _is_int(child):
-                c_idx = next(i for i, c in enumerate(children) if not _is_int(c))
+            if type(child) is not int:  # not children.index(child), as True == 1
+                c_idx = next(i for i, c in enumerate(children) if type(c) is not int)
                 raise SchemaError("child ids must be integers",
                                   f"$.nodes[{idx}].children[{c_idx}]")
             if not 0 <= child < n:
@@ -143,7 +140,7 @@ def ingest_tree(document: dict | str, project: str = "") -> TestCaseAst:
     if stray_ids:
         raise SchemaError(f"node ids must be the contiguous range 0..{n - 1}", "$.nodes")
     for r_idx, root in enumerate(raw_roots):
-        if not _is_int(root) or not 0 <= root < n:
+        if type(root) is not int or not 0 <= root < n:
             raise SchemaError("root ids must reference nodes", f"$.roots[{r_idx}]")
     if link_error:
         message, idx = link_error
@@ -159,31 +156,23 @@ def ingest_tree(document: dict | str, project: str = "") -> TestCaseAst:
             project=project,
         )
     except ModelError as exc:
-        _check_acyclic([raw["id"] for raw in raw_nodes], children_of)
+        _check_acyclic([raw["id"] for raw in raw_nodes], parents)
         raise SchemaError(str(exc), "$") from None
 
 
-def _check_acyclic(order: list[int], children_of: list[tuple[int, ...]]) -> None:
-    """Raise :class:`CycleError` if child references loop, searching from
-    each node in document order."""
-    WHITE, GREY, BLACK = 0, 1, 2
-    color = [WHITE] * len(children_of)
-    for start in order:
-        if color[start] != WHITE:
-            continue
-        stack: list[tuple[int, int]] = [(start, 0)]
-        color[start] = GREY
-        while stack:
-            node_id, child_idx = stack[-1]
-            children = children_of[node_id]
-            if child_idx == len(children):
-                stack.pop()
-                color[node_id] = BLACK
-                continue
-            stack[-1] = (node_id, child_idx + 1)
-            child = children[child_idx]
-            if color[child] == GREY:
-                raise CycleError(child)
-            if color[child] == WHITE:
-                color[child] = GREY
-                stack.append((child, 0))
+def _check_acyclic(order: list[int], parents: list[int | None]) -> None:
+    """Raise :class:`CycleError` at the first node in ``order`` on a loop of
+    parent links. Each node has one parent at most, so no node off a loop
+    reaches one through child links: the loop node it entered by would have
+    two parents."""
+    walk_of = [0] * len(parents)  # the walk, from 1, that first met a node; -1 on a loop
+    for walk, node in enumerate(order, 1):
+        while node is not None and not walk_of[node]:
+            walk_of[node] = walk
+            node = parents[node]
+        while node is not None and walk_of[node] == walk:  # met itself: go round the loop
+            walk_of[node] = -1
+            node = parents[node]
+    for node in order:
+        if walk_of[node] < 0:
+            raise CycleError(node)

@@ -27,7 +27,7 @@ import json
 from dataclasses import asdict, dataclass, field
 from datetime import datetime, timezone
 from pathlib import Path
-from typing import Sequence
+from typing import Callable, Sequence
 
 from .metrics import (
     MeanSummary,
@@ -42,6 +42,7 @@ from .stats import (
     AllZeroDifferencesError,
     StatsError,
     StatsResult,
+    TooFewSamplesError,
     shapiro_wilk,
     wilcoxon_signed_rank,
 )
@@ -133,28 +134,16 @@ def _result_dict(result: StatsResult) -> dict:
     }
 
 
-def _skipped(reason: str) -> dict:
-    return {"skipped": reason}
-
-
-def _try_shapiro(values: list[float]) -> dict:
-    if len(values) < 3:
-        return _skipped("insufficient n")
+def _try(test: Callable[..., StatsResult], *samples: list[float]) -> dict:
+    """The test's result, or why it was skipped."""
     try:
-        return _result_dict(shapiro_wilk(values))
-    except StatsError as exc:
-        return _skipped(str(exc))
-
-
-def _try_wilcoxon(x: list[float], y: list[float]) -> dict:
-    if len(x) < 2:
-        return _skipped("insufficient n")
-    try:
-        return _result_dict(wilcoxon_signed_rank(x, y))
+        return _result_dict(test(*samples))
+    except TooFewSamplesError:
+        return {"skipped": "insufficient n"}
     except AllZeroDifferencesError:
-        return _skipped("all differences zero")
+        return {"skipped": "all differences zero"}
     except StatsError as exc:
-        return _skipped(str(exc))
+        return {"skipped": str(exc)}
 
 
 def _claim_line(number: int, description: str, comparison: str,
@@ -187,14 +176,14 @@ def stats_block(records: Sequence[MetricsRecord]) -> dict:
 
     block = {
         "shapiro": {
-            "pntrs": _try_shapiro(pntrs),
-            "ptrs": _try_shapiro(ptrs),
-            "prntrs": _try_shapiro(prntrs),
-            "prtrs": _try_shapiro(prtrs),
+            "pntrs": _try(shapiro_wilk, pntrs),
+            "ptrs": _try(shapiro_wilk, ptrs),
+            "prntrs": _try(shapiro_wilk, prntrs),
+            "prtrs": _try(shapiro_wilk, prtrs),
         },
         "wilcoxon": {
-            "pntrs_vs_ptrs": _try_wilcoxon(pntrs, ptrs),
-            "prntrs_vs_prtrs": _try_wilcoxon(prntrs, prtrs),
+            "pntrs_vs_ptrs": _try(wilcoxon_signed_rank, pntrs, ptrs),
+            "prntrs_vs_prtrs": _try(wilcoxon_signed_rank, prntrs, prtrs),
         },
         "probability_rows_used": len(prntrs),
         "probability_rows_excluded": len(records) - len(prntrs),

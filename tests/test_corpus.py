@@ -138,8 +138,15 @@ def test_duplicate_entry_names_rejected(tmp_path):
         load_corpus_config(write_corpus(tmp_path, entries))
 
 
-@pytest.mark.parametrize("name", ["../escaped", "a/b", "a\\b", ".", "..", "", "a\u0000b"])
-def test_entry_names_that_are_not_file_names_rejected(tmp_path, name):
+# "x" * 300 and "\u00e9" * 126 (252 bytes) make file names over 255 bytes; a
+# lone surrogate cannot be written to metrics.csv or, here, as a file name.
+@pytest.mark.parametrize("name", [
+    "../escaped", "a/b", "a\\b", ".", "..", "", "a\u0000b",
+    pytest.param("x" * 300, id="300 x"),
+    pytest.param("\u00e9" * 126, id="126 e-acute"),
+    pytest.param("a\ud800b", id="lone surrogate"),
+])
+def test_entry_names_that_are_not_file_names_rejected(tmp_path, monkeypatch, name):
     entries = [
         entry("fine", "a();\n", [[0]], tmp_path),
         dict(entry("other", "b();\n", [[0]], tmp_path), name=name),
@@ -147,8 +154,40 @@ def test_entry_names_that_are_not_file_names_rejected(tmp_path, name):
     config = write_corpus(tmp_path, entries)
     with pytest.raises(CorpusConfigError):
         load_corpus_config(config)
+    runs = []
+    monkeypatch.setattr(corpus, "_run_entry", lambda *args: runs.append(args))
     assert main(["corpus", str(config)]) == 2
+    assert runs == []
     assert sorted(p.name for p in tmp_path.iterdir()) == ["corpus.json", "tests"]
+
+
+def test_entry_name_of_255_bytes_with_its_suffix_is_accepted(tmp_path):
+    name = "x" * 250
+    entries = [
+        entry("fine", "a();\n", [[0]], tmp_path),
+        dict(entry("other", "b();\n", [[0]], tmp_path), name=name),
+    ]
+    assert main(["corpus", str(write_corpus(tmp_path, entries))]) == 0
+    assert (tmp_path / "out" / "reductions" / f"{name}.json").is_file()
+
+
+@pytest.mark.parametrize("fields", [
+    pytest.param({"name": "x" * 300}, id="long name"),
+    pytest.param({"name": "a\ud800b"}, id="surrogate name"),
+    pytest.param({"project": "q\udc00"}, id="surrogate project"),
+])
+def test_refused_config_leaves_the_earlier_bundle_as_it_was(tmp_path, fields):
+    entries = [entry("fine", "a();\n", [[0]], tmp_path)]
+    assert main(["corpus", str(write_corpus(tmp_path, entries))]) == 0
+    out = tmp_path / "out"
+    before = {path: path.read_bytes() for path in out.rglob("*") if path.is_file()}
+    assert out / "metrics.csv" in before
+    entries.append(dict(entry("other", "b();\n", [[0]], tmp_path), **fields))
+    config = write_corpus(tmp_path, entries)
+    with pytest.raises(CorpusConfigError):
+        load_corpus_config(config)
+    assert main(["corpus", str(config)]) == 2
+    assert {path: path.read_bytes() for path in out.rglob("*") if path.is_file()} == before
 
 
 # Each case maps a config (or, under "entry", fields that override a valid
@@ -166,6 +205,7 @@ MALFORMED_CONFIG_CASES = [
     ({"entry": {"tree_file": ["t.json"]}}, "entry 'solo': tree_file must be a string"),
     ({"corpus_name": 3}, "corpus_name must be a string"),
     ({"policy": "bogus"}, "policy must be 'any' or 'same', not 'bogus'"),
+    ({"entry": {"project": "q\udc00"}}, "entry 'solo': 'q\\udc00' cannot be written as UTF-8"),
 ]
 
 

@@ -1,11 +1,13 @@
 import json
 import random
+from collections import OrderedDict
+from enum import IntEnum
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from redustat.ingest import CycleError, SchemaError, ingest_tree
+from redustat.ingest import CycleError, SchemaError, _check_acyclic, ingest_tree
 from redustat.model import TREE_KINDS, StmtKind, TestCaseAst, count_categories
 from redustat.parser import parse_test
 
@@ -305,3 +307,124 @@ def test_root_past_the_first_that_names_no_node_keeps_its_error():
         ingest_tree(doc(_six_nodes(), [0, 5, 6]))
     assert str(info.value) == "root ids must reference nodes (at $.roots[2])"
     assert info.value.path == "$.roots[2]"
+
+
+class _Id(IntEnum):
+    FOUR = 4
+
+
+class _Int(int):
+    pass
+
+
+class _Str(str):
+    pass
+
+
+class _Document(dict):
+    pass
+
+
+# A field must have exactly the type json.loads gives it; JSON text never
+# holds a subclass, so only dict documents can meet these errors.
+@pytest.mark.parametrize("document, message", [
+    (_fault(4, id=_Id.FOUR), "field 'id' has wrong type (at $.nodes[4].id)"),
+    (_fault(3, span=[12, _Int(18)]), "span must be [start, end] (at $.nodes[3].span)"),
+    (_fault(2, children=[_Int(3), 4]),
+     "child ids must be integers (at $.nodes[2].children[0])"),
+    # 1 == True, so children.index(True) would name children[0].
+    (_fault(2, children=[1, True]), "child ids must be integers (at $.nodes[2].children[1])"),
+    (doc(_six_nodes(), [0, _Int(5)]), "root ids must reference nodes (at $.roots[1])"),
+    (doc(_six_nodes()[:5] + [OrderedDict(_six_nodes()[5])], [0, 5]),
+     "expected an object (at $.nodes[5])"),
+    (_Document(doc(_six_nodes(), [0, 5])), "expected an object (at $)"),
+    ({**doc(_six_nodes(), [0, 5]), "project": _Str("p")},
+     "field 'project' has wrong type (at $.project)"),
+])
+def test_subclass_of_a_json_type_is_a_wrong_type(document, message):
+    with pytest.raises(SchemaError) as info:
+        ingest_tree(document)
+    assert str(info.value) == message
+
+
+def _loop_case(order, roots=(0,)):
+    """Nodes 1 -> 2 -> 1 and 3 -> 4 -> 3 loop, node 1 also holds leaf 5, and
+    leaf 0 stands alone; ``order`` lists the node ids in document order."""
+    nodes = {
+        0: node(0, "ExpressionStmt", (0, 4)),
+        1: node(1, "Block", (5, 30), children=(2, 5)),
+        2: node(2, "Block", (6, 29), children=(1,)),
+        3: node(3, "Block", (31, 50), children=(4,)),
+        4: node(4, "Block", (32, 49), children=(3,)),
+        5: node(5, "ExpressionStmt", (7, 9)),
+    }
+    return doc([nodes[i] for i in order], list(roots))
+
+
+# Each case names the node the parent's depth-first search reported.
+@pytest.mark.parametrize("document, node_id", [
+    # A loop's descendant is listed before any loop node.
+    (_loop_case([5, 0, 2, 1, 3, 4]), 2),
+    # The later loop is listed first.
+    (_loop_case([0, 4, 3, 1, 2, 5]), 4),
+    (_loop_case([5, 3, 0, 1, 2, 4]), 3),
+    # A self-loop after a tree.
+    (doc([node(0, "Block", (0, 20), children=(1,)), node(1, "ExpressionStmt", (2, 8)),
+          node(2, "Block", (22, 40), children=(2,))], [0]), 2),
+])
+def test_loop_is_reported_at_its_first_listed_node(document, node_id):
+    with pytest.raises(CycleError) as info:
+        ingest_tree(document)
+    assert info.value.node_id == node_id
+    assert str(info.value) == f"child references form a cycle through node {node_id}"
+
+
+def _colour_search(order, children_of):
+    """The depth-first search over child links that ingest used before it
+    searched the parent links: the reference for ``_check_acyclic``."""
+    WHITE, GREY, BLACK = 0, 1, 2
+    color = [WHITE] * len(children_of)
+    for start in order:
+        if color[start] != WHITE:
+            continue
+        stack = [(start, 0)]
+        color[start] = GREY
+        while stack:
+            node_id, child_idx = stack[-1]
+            children = children_of[node_id]
+            if child_idx == len(children):
+                stack.pop()
+                color[node_id] = BLACK
+                continue
+            stack[-1] = (node_id, child_idx + 1)
+            child = children[child_idx]
+            if color[child] == GREY:
+                raise CycleError(child)
+            if color[child] == WHITE:
+                color[child] = GREY
+                stack.append((child, 0))
+
+
+def _reported_loop_node(search, *args):
+    try:
+        search(*args)
+    except CycleError as exc:
+        return exc.node_id
+    return None
+
+
+@settings(max_examples=400, deadline=None)
+@given(seed=st.integers(min_value=0, max_value=10**9))
+def test_parent_link_search_reports_the_node_the_colour_search_did(seed):
+    rng = random.Random(seed)
+    n = rng.randint(1, 24)
+    # At most one parent per node, as ingest guarantees before the search;
+    # a parent drawn from every node gives loops, self-loops and trees.
+    parents = [None if rng.random() < 0.3 else rng.randrange(n) for _ in range(n)]
+    children_of = [[] for _ in range(n)]
+    for child in rng.sample(range(n), n):
+        if parents[child] is not None:
+            children_of[parents[child]].append(child)
+    order = rng.sample(range(n), n)
+    assert (_reported_loop_node(_check_acyclic, order, parents)
+            == _reported_loop_node(_colour_search, order, children_of))
