@@ -54,7 +54,6 @@ from .stats import (
     wilcoxon_signed_rank,
 )
 from .reports import (
-    FiveNumberSummary,
     ReportBundle,
     boxplot_table,
     five_number_summary,

@@ -20,26 +20,20 @@ import argparse
 import sys
 from pathlib import Path
 
-from .corpus import CorpusConfigError, load_corpus_config, run_corpus
-from .ingest import SchemaError, ingest_tree
-from .metrics import (
-    NUMBER_COLUMNS,
-    EmptyCorpusError,
-    format_percent,
-    percent_samples,
-    read_records_csv,
-)
+from .corpus import load_corpus_config, run_corpus
+from .ingest import ingest_tree
+from .metrics import NUMBER_COLUMNS, format_percent, percent_samples, read_records_csv
 from .oracle import (
     MatchPolicy,
     OracleConfig,
     OriginalDoesNotFailError,
     OracleSpawnError,
 )
-from .parser import StatementSyntaxError, parse_test
+from .parser import parse_test
 from .reducer import reduce_test
 from .replicate import replicate_from_fixtures
 from .reports import dump_reduction_report
-from .stats import StatsError, shapiro_wilk, wilcoxon_signed_rank
+from .stats import shapiro_wilk, wilcoxon_signed_rank
 
 #: Matches the first line mentioning a Java-ish failure; group 0 is the signature.
 #: The dotted name may only start where no longer one could (not after a word
@@ -57,8 +51,7 @@ def main(argv: list[str] | None = None) -> int:
     except (OriginalDoesNotFailError, OracleSpawnError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (CorpusConfigError, EmptyCorpusError, SchemaError,
-            StatementSyntaxError, StatsError, ValueError, OSError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

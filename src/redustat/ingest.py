@@ -10,6 +10,7 @@ the pipeline as a JSON document::
 
 Every field must have exactly the type ``json.loads`` gives it (an ``int`` is
 never a ``bool``); a subclass, such as an ``IntEnum`` id, is a wrong type.
+The ``source`` must encode to UTF-8: a lone surrogate is refused.
 
 Kind strings that match the statement-kind enum are taken as-is; anything
 else maps to ``Block`` when ``has_children`` is true and ``ExpressionStmt``
@@ -78,6 +79,10 @@ def ingest_tree(document: dict | str, project: str = "") -> TestCaseAst:
 
     test_name = _require(document, "test_name", str, "$")
     source = _require(document, "source", str, "$")
+    try:
+        source.encode("utf-8")  # each candidate is written out as UTF-8
+    except UnicodeEncodeError:
+        raise SchemaError("source cannot be written as UTF-8", "$.source") from None
     raw_nodes = _require(document, "nodes", list, "$")
     raw_roots = _require(document, "roots", list, "$")
     project = document.get("project", project)

@@ -53,26 +53,6 @@ SIGNIFICANCE_LEVEL = 0.05
 # -- boxplot data -------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class FiveNumberSummary:
-    minimum: float
-    q1: float
-    median: float
-    q3: float
-    maximum: float
-    outliers: tuple[float, ...] = ()
-
-    def to_dict(self) -> dict:
-        return {
-            "min": self.minimum,
-            "q1": self.q1,
-            "median": self.median,
-            "q3": self.q3,
-            "max": self.maximum,
-            "outliers": list(self.outliers),
-        }
-
-
 def quantile(values: Sequence[float], q: float) -> float:
     """Linear-interpolation quantile (R type 7) over unsorted values."""
     if not values:
@@ -90,8 +70,8 @@ def quantile(values: Sequence[float], q: float) -> float:
     return data[low] + (data[low + 1] - data[low]) * frac
 
 
-def five_number_summary(values: Sequence[float]) -> FiveNumberSummary:
-    """Min, quartiles, max, and the points more than 1.5 IQR outside the box."""
+def five_number_summary(values: Sequence[float]) -> dict:
+    """A ``boxplot.json`` column: min, quartiles, max, sorted 1.5-IQR outliers."""
     if not values:
         raise ValueError("summary of empty data")
     q1 = quantile(values, 0.25)
@@ -100,12 +80,13 @@ def five_number_summary(values: Sequence[float]) -> FiveNumberSummary:
     iqr = q3 - q1
     lo = q1 - 1.5 * iqr
     hi = q3 + 1.5 * iqr
-    outliers = tuple(sorted(v for v in values if v < lo or v > hi))
-    return FiveNumberSummary(min(values), q1, med, q3, max(values), outliers)
+    outliers = sorted(v for v in values if v < lo or v > hi)
+    return {"min": min(values), "q1": q1, "median": med, "q3": q3,
+            "max": max(values), "outliers": outliers}
 
 
-def boxplot_table(records: Sequence[MetricsRecord]) -> dict[str, FiveNumberSummary]:
-    """Five-number summaries per metric column, in percent units.
+def boxplot_table(records: Sequence[MetricsRecord]) -> dict[str, dict]:
+    """``boxplot.json``: five-number summaries per metric column, in percent.
 
     Undefined probability cells are excluded from their column, matching the
     published tables.
@@ -123,27 +104,17 @@ def boxplot_table(records: Sequence[MetricsRecord]) -> dict[str, FiveNumberSumma
 # -- statistics block and claims ----------------------------------------------
 
 
-def _result_dict(result: StatsResult) -> dict:
-    return {
-        "method": result.method.value,
-        "statistic": result.statistic,
-        "p_value": result.p_value,
-        "n_used": result.n_used,
-        "ties_present": result.ties_present,
-        "zeros_dropped": result.zeros_dropped,
-    }
-
-
 def _try(test: Callable[..., StatsResult], *samples: list[float]) -> dict:
     """The test's result, or why it was skipped."""
     try:
-        return _result_dict(test(*samples))
+        result = test(*samples)
     except TooFewSamplesError:
         return {"skipped": "insufficient n"}
     except AllZeroDifferencesError:
         return {"skipped": "all differences zero"}
     except StatsError as exc:
         return {"skipped": str(exc)}
+    return {**asdict(result), "method": result.method.value}
 
 
 def _claim_line(number: int, description: str, comparison: str,
@@ -218,7 +189,7 @@ class ReportBundle:
     records: list[MetricsRecord]
     means: MeanSummary
     stats: dict
-    boxplot: dict[str, FiveNumberSummary]
+    boxplot: dict[str, dict]
     provenance: dict
     entry_statuses: list[EntryStatus] = field(default_factory=list)
     #: One report per ok entry status, in the same order; each is written
@@ -241,8 +212,7 @@ class ReportBundle:
         (out / "means.csv").write_text(summary_to_csv(self.means),
                                        encoding="utf-8")
         (out / "stats.json").write_text(_dump_json(self.stats), encoding="utf-8")
-        boxplot = {column: summary.to_dict() for column, summary in self.boxplot.items()}
-        (out / "boxplot.json").write_text(_dump_json(boxplot), encoding="utf-8")
+        (out / "boxplot.json").write_text(_dump_json(self.boxplot), encoding="utf-8")
         report = {
             "corpus_name": self.corpus_name,
             "provenance": self.provenance,

@@ -1,6 +1,7 @@
 import json
 import os
 import re
+import shlex
 import subprocess
 import sys
 import textwrap
@@ -83,6 +84,27 @@ def test_reduce_accepts_tree_documents(tmp_path, failing_test):
     assert code == 0
     report = json.loads((tmp_path / "r.json").read_text())
     assert report["retained"] == [1]
+
+
+def test_reduce_refuses_a_source_utf8_cannot_encode(tmp_path, capsys):
+    marker = tmp_path / "oracle-ran"
+    document = {
+        "test_name": "surrogate",
+        "source": 'a("\ud800");b();',
+        "nodes": [
+            {"id": 0, "kind": "ExpressionStmt", "has_children": False,
+             "span": [0, 7], "children": []},
+            {"id": 1, "kind": "ExpressionStmt", "has_children": False,
+             "span": [7, 11], "children": []},
+        ],
+        "roots": [0, 1],
+    }
+    path = tmp_path / "t.json"
+    path.write_text(json.dumps(document), encoding="utf-8")
+    code = main(["reduce", str(path), "--oracle-cmd", f"touch {shlex.quote(str(marker))}"])
+    assert code == 2
+    assert not marker.exists()  # refused before any oracle run
+    assert "source cannot be written as UTF-8 (at $.source)" in capsys.readouterr().err
 
 
 def test_reduce_with_non_utf8_test_output(tmp_path):
@@ -185,6 +207,31 @@ def test_stats_missing_column_exit_2(tmp_path):
     # A known column, but the file is not a metrics table.
     assert main(["stats", "--csv", str(csv_path), "--cols", "ptrs",
                  "--test", "shapiro"]) == 2
+
+
+@pytest.mark.parametrize("test_name, cols, message", [
+    ("shapiro", "pntrs,ptrs", "shapiro needs exactly one column"),
+    ("wilcoxon", "pntrs", "wilcoxon needs exactly two columns"),
+])
+def test_stats_wrong_column_count_exit_2(capsys, test_name, cols, message):
+    assert main(["stats", "--csv", str(SYNTHETIC / "expected_metrics.csv"),
+                 "--cols", cols, "--test", test_name]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def test_replicate_prints_skipped_wilcoxon(tmp_path, capsys):
+    from redustat.metrics import CSV_COLUMNS
+
+    # Every row removes as many leaves as tree statements: each pair ties.
+    rows = [f"t{i},p,{4 * i},{2 * i},{2 * i},{2 * i},50,{i},25,{i},25,50,50"
+            for i in range(1, 6)]
+    fixture = tmp_path / "ties.csv"
+    fixture.write_text("\n".join([",".join(CSV_COLUMNS), *rows]) + "\n", encoding="utf-8")
+    assert main(["replicate", "--table", "I", "--fixture", str(fixture)]) == 0
+    stdout = capsys.readouterr().out
+    assert "wilcoxon pntrs_vs_ptrs: skipped (all differences zero)\n" in stdout
+    assert "wilcoxon prntrs_vs_prtrs: skipped (all differences zero)\n" in stdout
+    assert "claim 1 (leaf statements are removed in large numbers): NOT EVALUATED" in stdout
 
 
 #: The default signature pattern before it was made linear: the reference

@@ -190,8 +190,16 @@ def test_refused_config_leaves_the_earlier_bundle_as_it_was(tmp_path, fields):
     assert {path: path.read_bytes() for path in out.rglob("*") if path.is_file()} == before
 
 
+#: A case's field set to MISSING is left out of the config.
+MISSING = object()
+
+
+def _present(fields):
+    return {key: value for key, value in fields.items() if value is not MISSING}
+
+
 # Each case maps a config (or, under "entry", fields that override a valid
-# entry's) to the config error it raises.
+# entry's; or the config's text) to the config error it raises.
 MALFORMED_CONFIG_CASES = [
     ([], "config must be a JSON object"),
     ({"entries": {"a": 1}}, "entries must be a list"),
@@ -206,6 +214,11 @@ MALFORMED_CONFIG_CASES = [
     ({"corpus_name": 3}, "corpus_name must be a string"),
     ({"policy": "bogus"}, "policy must be 'any' or 'same', not 'bogus'"),
     ({"entry": {"project": "q\udc00"}}, "entry 'solo': 'q\\udc00' cannot be written as UTF-8"),
+    ("{not json", "config is not valid JSON: Expecting property name enclosed in "
+                  "double quotes: line 1 column 2 (char 1)"),
+    ({"corpus_name": MISSING}, "config missing field 'corpus_name'"),
+    ({"entry": {"oracle": MISSING}}, "config missing field 'oracle'"),
+    ({"entry": {"test_file": MISSING}}, "entry 'solo' needs test_file or tree_file"),
 ]
 
 
@@ -213,10 +226,11 @@ MALFORMED_CONFIG_CASES = [
 def test_malformed_config_is_a_config_error(tmp_path, capsys, config, message):
     if isinstance(config, dict):
         fields = dict(entry("solo", "a();\n", [[0]], tmp_path), **config.get("entry", {}))
-        config = {"corpus_name": "mini", "entries": [fields],
-                  **{key: value for key, value in config.items() if key != "entry"}}
+        config = _present({"corpus_name": "mini", "entries": [_present(fields)],
+                           **{key: value for key, value in config.items() if key != "entry"}})
     path = tmp_path / "corpus.json"
-    path.write_text(json.dumps(config), encoding="utf-8")
+    path.write_text(config if isinstance(config, str) else json.dumps(config),
+                    encoding="utf-8")
     with pytest.raises(CorpusConfigError) as info:
         load_corpus_config(path)
     assert str(info.value) == message
@@ -443,6 +457,30 @@ def test_unknown_oracle_key_is_an_entry_error(tmp_path):
     assert not status["typo"].ok
     assert status["typo"].error == ("CorpusConfigError: entry 'typo': "
                                     "unknown oracle key 'retries_typo'")
+
+
+def test_unknown_oracle_mode_is_an_entry_error(tmp_path):
+    entries = [
+        entry("good", "a();\nb();\n", [[1]], tmp_path),
+        entry("bogus", "c();\nd();\n", [[1]], tmp_path),
+    ]
+    entries[1]["oracle"]["mode"] = "bogus"
+    bundle = run_corpus(load_corpus_config(write_corpus(tmp_path, entries)),
+                        write=False)
+    assert [s.ok for s in bundle.entry_statuses] == [True, False]
+    assert bundle.entry_statuses[1].error == ("CorpusConfigError: entry 'bogus': "
+                                              "unknown oracle mode 'bogus'")
+
+
+def test_corpus_whose_every_entry_fails_is_an_error(tmp_path, capsys):
+    entries = [entry("never", "a();\n", [[7]], tmp_path),
+               entry("bad-syntax", "e(;\n", [[0]], tmp_path)]
+    path = write_corpus(tmp_path, entries)
+    with pytest.raises(EmptyCorpusError, match="^every corpus entry failed; nothing to report$"):
+        run_corpus(load_corpus_config(path))
+    assert main(["corpus", str(path)]) == 2
+    assert capsys.readouterr().err == "error: every corpus entry failed; nothing to report\n"
+    assert not (tmp_path / "out").exists()
 
 
 def test_command_oracle_entries_run_in_scratch_dirs(tmp_path, monkeypatch):

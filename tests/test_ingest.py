@@ -97,6 +97,28 @@ def test_accepts_json_text_input():
     assert ast.statements[0].kind is StmtKind.RETURN
 
 
+def test_invalid_json_text_is_schema_error():
+    with pytest.raises(SchemaError) as info:
+        ingest_tree('{"test_name": ')
+    assert str(info.value).startswith("not valid JSON: ")
+    assert info.value.path == "$"
+
+
+# JSON text may escape a lone surrogate, but no candidate holding one can be
+# written out for the oracle.
+_SURROGATE_SOURCE = doc([node(0, "ExpressionStmt", (0, 7)), node(1, "ExpressionStmt", (7, 11))],
+                        [0, 1], source='a("\ud800");b();')
+
+
+@pytest.mark.parametrize("document", [_SURROGATE_SOURCE, json.dumps(_SURROGATE_SOURCE)],
+                         ids=["dict", "json text"])
+def test_source_that_utf8_cannot_encode_is_schema_error(document):
+    with pytest.raises(SchemaError) as info:
+        ingest_tree(document)
+    assert str(info.value) == "source cannot be written as UTF-8 (at $.source)"
+    assert info.value.path == "$.source"
+
+
 def test_missing_field_reports_path():
     bad = doc([{"id": 0, "kind": "Return", "span": [0, 2], "children": []}], [0])
     with pytest.raises(SchemaError) as info:

@@ -153,6 +153,11 @@ def test_csv_rejects_wrong_header():
         read_records_csv("foo,bar\n1,2\n")
 
 
+def test_empty_csv_text_is_a_schema_error():
+    with pytest.raises(CsvSchemaError, match="^empty CSV$"):
+        read_records_csv("")
+
+
 def test_header_only_csv_text_has_no_records():
     assert read_records_csv(",".join(CSV_COLUMNS)) == []
 
@@ -204,6 +209,9 @@ def test_summary_csv_text_of_synthetic_corpus():
      "line 2: invalid literal for int() with base 10: 'nine'"),
     ("t,p,9,7,2,2,22.22,2,22.22,0,0,",
      "line 2: expected 13 cells, found 12"),
+    # a blank line is skipped but still counted
+    ("\nt,p,9,7,2,2,22.22,2,22.22,0,0,",
+     "line 3: expected 13 cells, found 12"),
     # percent cells are read before count cells
     ("t,p,nine,7,2,2,bad,2,22.22,0,0,,",
      "line 2: could not convert string to float: 'bad'"),

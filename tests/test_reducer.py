@@ -175,6 +175,12 @@ def test_greedy_is_one_minimal_but_not_always_minimum(flat_five):
     assert brute_force_minimal(flat_five, oracle) == {3}
 
 
+def test_reference_check_rejects_a_set_that_is_not_one_minimal(flat_five):
+    oracle = scripted({2})
+    assert not verify_one_minimal(flat_five, oracle, frozenset(flat_five.all_ids()))
+    assert verify_one_minimal(flat_five, oracle, frozenset({2}))
+
+
 def test_empty_retained_set_is_reachable():
     ast = parse_test("a();\n")
     oracle = scripted({0})

@@ -7,7 +7,6 @@ from redustat.metrics import compute_metrics
 from redustat.replicate import replicate_from_fixtures
 from redustat.reports import (
     EntryStatus,
-    FiveNumberSummary,
     assemble_bundle,
     boxplot_table,
     five_number_summary,
@@ -18,14 +17,15 @@ from redustat.reports import (
 
 def test_identical_values_collapse_the_box():
     summary = five_number_summary([4.2] * 9)
-    assert summary == FiveNumberSummary(4.2, 4.2, 4.2, 4.2, 4.2, ())
+    assert summary == {"min": 4.2, "q1": 4.2, "median": 4.2, "q3": 4.2,
+                       "max": 4.2, "outliers": []}
 
 
 def test_evenly_spaced_five_vector():
     summary = five_number_summary([0, 25, 50, 75, 100])
-    assert (summary.minimum, summary.q1, summary.median, summary.q3,
-            summary.maximum) == (0, 25, 50, 75, 100)
-    assert summary.outliers == ()
+    assert (summary["min"], summary["q1"], summary["median"], summary["q3"],
+            summary["max"]) == (0, 25, 50, 75, 100)
+    assert summary["outliers"] == []
 
 
 def test_quantiles_match_library_inclusive_method():
@@ -41,8 +41,8 @@ def test_quantiles_match_library_inclusive_method():
 def test_outliers_beyond_whiskers():
     data = [10.0, 11.0, 12.0, 13.0, 14.0, 100.0]
     summary = five_number_summary(data)
-    assert summary.outliers == (100.0,)
-    assert summary.maximum == 100.0
+    assert summary["outliers"] == [100.0]
+    assert summary["max"] == 100.0
 
 
 def test_mutants_ptrs_summary_from_fixture():
@@ -50,10 +50,10 @@ def test_mutants_ptrs_summary_from_fixture():
     table = boxplot_table(records)
     ptrs = table["ptrs"]
     values = sorted(r.ptrs * 100 for r in records)
-    assert ptrs.q1 == 0.0
-    assert ptrs.median == pytest.approx((values[14] + values[15]) / 2, abs=1e-12)
-    assert ptrs.minimum == 0.0
-    assert ptrs.maximum == pytest.approx(26.31)
+    assert ptrs["q1"] == 0.0
+    assert ptrs["median"] == pytest.approx((values[14] + values[15]) / 2, abs=1e-12)
+    assert ptrs["min"] == 0.0
+    assert ptrs["max"] == pytest.approx(26.31)
     # probability columns only summarize defined rows
     assert "prtrs" in table
 
@@ -82,6 +82,13 @@ def test_claim_lines_on_fixture_table():
     assert "PASS" in claim1 and "significant difference" in claim1
     assert "no significant difference" in claim2
     assert "FAIL" in claim2
+
+
+def test_claims_fail_when_trees_lose_significantly_more_than_leaves():
+    records = [compute_metrics((20, 10, 10), (1, 2 + i % 4), test_name=f"r{i}")
+               for i in range(8)]
+    for line in stats_block(records)["claims"]:
+        assert ": FAIL (significant difference, opposite direction between " in line
 
 
 def test_bundle_write_is_deterministic_except_report(tmp_path):
