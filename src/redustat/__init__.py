@@ -38,7 +38,6 @@ from .reducer import (
 from .metrics import (
     CountMismatchError,
     EmptyCorpusError,
-    MeanSummary,
     MetricsRecord,
     aggregate_means,
     compute_metrics,

@@ -134,7 +134,7 @@ def _cmd_corpus(args) -> int:
     for status in bundle.entry_statuses:
         marker = "ok" if status.ok else f"ERROR {status.error}"
         print(f"{status.name}: {marker}")
-    for line in bundle.claim_lines:
+    for line in bundle.stats["claims"]:
         print(line)
     print(f"bundle written to {config.output_dir}")
     return 1 if bundle.entry_errors else 0
@@ -143,12 +143,12 @@ def _cmd_corpus(args) -> int:
 def _cmd_replicate(args) -> int:
     bundle = replicate_from_fixtures(args.table, args.fixture)
     means = bundle.means
-    print(f"table {args.table}: {means.n} tests")
+    print(f"table {args.table}: {means['n']} tests")
     print("mean row: "
-          f"stmts={means.stmts:.2f} ntn={means.ntn:.2f} tn={means.tn:.2f} "
-          f"ars={means.ars:.2f} prs={format_percent(means.prs)}% "
-          f"antrs={means.antrs:.2f} pntrs={format_percent(means.pntrs)}% "
-          f"atrs={means.atrs:.2f} ptrs={format_percent(means.ptrs)}%")
+          f"stmts={means['stmts']:.2f} ntn={means['ntn']:.2f} tn={means['tn']:.2f} "
+          f"ars={means['ars']:.2f} prs={format_percent(means['prs'])}% "
+          f"antrs={means['antrs']:.2f} pntrs={format_percent(means['pntrs'])}% "
+          f"atrs={means['atrs']:.2f} ptrs={format_percent(means['ptrs'])}%")
     for pair, result in bundle.stats["wilcoxon"].items():
         if "skipped" in result:
             print(f"wilcoxon {pair}: skipped ({result['skipped']})")
@@ -156,7 +156,7 @@ def _cmd_replicate(args) -> int:
             print(f"wilcoxon {pair}: V={result['statistic']:g} "
                   f"p={result['p_value']:.4g} ({result['method']}, "
                   f"n={result['n_used']})")
-    for line in bundle.claim_lines:
+    for line in bundle.stats["claims"]:
         print(line)
     if args.output_dir:
         bundle.write(args.output_dir)

@@ -241,8 +241,9 @@ def _file_size(entry: CorpusEntry) -> int:
         return 0
 
 
-def run_corpus(config: CorpusConfig, write: bool = True) -> ReportBundle:
-    """Reduce every entry and assemble the report bundle.
+def run_corpus(config: CorpusConfig) -> ReportBundle:
+    """Reduce every entry, assemble the report bundle and write it to
+    ``config.output_dir``.
 
     Per-entry failures are recorded in the bundle, not raised; callers turn
     ``bundle.entry_errors`` into a nonzero exit code.
@@ -270,6 +271,5 @@ def run_corpus(config: CorpusConfig, write: bool = True) -> ReportBundle:
         entry_statuses=[r.status for r in results],
         reduction_reports=[r.report for r in results if r.report is not None],
     )
-    if write:
-        bundle.write(config.output_dir)
+    bundle.write(config.output_dir)
     return bundle

@@ -22,13 +22,17 @@ downstream statistics is explicit.
 
 Fractions are kept at full precision and rendered only at report time, as
 percentages with two decimals, round-half-up.
+
+A corpus's mean row is a dict keyed in ``means.csv`` column order: ``n``, the
+mean of each numeric column, ``prntrs_excluded`` and ``prtrs_excluded``.
 """
 
 from __future__ import annotations
 
 import csv
 import io
-from dataclasses import dataclass, fields
+import math
+from dataclasses import dataclass
 from decimal import Decimal, ROUND_HALF_UP
 from typing import Sequence
 
@@ -80,31 +84,6 @@ class MetricsRecord:
     prtrs: float | None
 
 
-@dataclass(frozen=True)
-class MeanSummary:
-    """Column means over a corpus.
-
-    The probability columns are averaged only over records where they are
-    defined; ``prntrs_excluded``/``prtrs_excluded`` say how many records the
-    filter dropped.
-    """
-
-    n: int
-    stmts: float
-    ntn: float
-    tn: float
-    ars: float
-    prs: float
-    antrs: float
-    pntrs: float
-    atrs: float
-    ptrs: float
-    prntrs: float | None
-    prtrs: float | None
-    prntrs_excluded: int
-    prtrs_excluded: int
-
-
 def compute_metrics(counts: tuple[int, int, int], removal: tuple[int, int],
                     test_name: str = "", project: str = "") -> MetricsRecord:
     """Build a record from category totals and per-category removal counts.
@@ -150,21 +129,23 @@ def metrics_from_reduction(ast: TestCaseAst,
     )
 
 
-def aggregate_means(records: Sequence[MetricsRecord]) -> MeanSummary:
-    """Arithmetic mean of every column; probabilities over defined rows only."""
+def aggregate_means(records: Sequence[MetricsRecord]) -> dict:
+    """The mean row, keyed in ``means.csv`` order: ``n``, the mean of each of
+    ``NUMBER_COLUMNS`` (a probability over the records that define it, ``None``
+    if none does), then the records each probability mean left out."""
     if not records:
         raise EmptyCorpusError("cannot aggregate an empty corpus")
     n = len(records)
     defined = {column: [value for record in records
                         if (value := getattr(record, column)) is not None]
                for column in NUMBER_COLUMNS}
-    return MeanSummary(
-        n=n,
+    return {
+        "n": n,
         **{column: sum(values) / len(values) if values else None
            for column, values in defined.items()},
         **{f"{column}_excluded": n - len(defined[column])
            for column in _PROBABILITIES},
-    )
+    }
 
 
 def percent_samples(records: Sequence[MetricsRecord],
@@ -255,21 +236,23 @@ def read_records_csv(text: str) -> list[MetricsRecord]:
 
 
 def parse_cell(cell: str) -> float | None:
-    """A numeric cell as printed: trailing ``%`` dropped, empty is ``None``."""
+    """A numeric cell as printed: trailing ``%`` dropped, empty is ``None``,
+    and ``ValueError`` for ``nan``, ``inf`` or any other non-finite value."""
     cell = cell.strip().rstrip("%")
-    return float(cell) if cell else None
+    value = float(cell) if cell else None
+    if value is not None and not math.isfinite(value):
+        raise ValueError(f"not a finite number: {cell!r}")
+    return value
 
 
-def summary_to_csv(summary: MeanSummary) -> str:
-    """Single-row CSV for the mean summary (count means with four decimals)."""
-    header = [field.name for field in fields(MeanSummary)]
+def summary_to_csv(summary: dict) -> str:
+    """Single-row CSV for the mean row (count means with four decimals)."""
     row = []
-    for column in header:
-        value = getattr(summary, column)
+    for column, value in summary.items():
         if column in PERCENT_COLUMNS:
             row.append(format_percent(value))
         elif column in NUMBER_COLUMNS:
             row.append(f"{value:.4f}")
         else:  # n and the excluded-row counts
             row.append(str(value))
-    return ",".join(header) + "\n" + ",".join(row) + "\n"
+    return ",".join(summary) + "\n" + ",".join(row) + "\n"

@@ -26,7 +26,11 @@ Exit-code contract for external commands: an exit code in
 Pass, and anything else (including timeouts and non-compiling candidates) is
 Invalid. Invalid is deliberately distinct from a spawn failure: a candidate
 that cannot even be attempted aborts the reduction instead of being treated
-as "not failing".
+as "not failing". Settings that no run could honour are refused with
+``ValueError`` when the :class:`OracleConfig` is built, before any command
+runs: a ``signature_pattern`` that is not a regular expression, a
+``command_template`` that is not a string, that shlex cannot split or that
+names no command, and a 0 in ``fail_exit_codes`` (exit 0 is always Pass).
 
 Verdict evaluation blocks. Distinct oracle instances may run concurrently in
 different working directories, but one OracleConfig must not be invoked
@@ -134,6 +138,23 @@ class OracleConfig:
         if self.match_policy is MatchPolicy.SAME_SIGNATURE and not self.signature_pattern:
             raise ValueError("signature_pattern is required under the "
                              "SameSignature policy")
+        if self.signature_pattern:
+            try:
+                re.compile(self.signature_pattern)
+            except re.error as exc:
+                raise ValueError(f"signature_pattern is not a regular expression: "
+                                 f"{exc}") from None
+        # shlex.split(None) reads standard input before Python 3.12.
+        if not isinstance(self.command_template, str):
+            raise ValueError("command_template must be a string")
+        try:
+            words = shlex.split(self.command_template)
+        except ValueError as exc:
+            raise ValueError(f"command_template cannot be split: {exc}") from None
+        if not words:
+            raise ValueError("command_template names no command")
+        if 0 in self.fail_exit_codes:
+            raise ValueError("fail_exit_codes cannot hold 0, which means Pass")
 
     def verdict(self, retained: AbstractSet[int], ast: TestCaseAst) -> OracleVerdict:
         return _run_external_once(self, render(ast, retained))

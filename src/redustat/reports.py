@@ -30,7 +30,6 @@ from pathlib import Path
 from typing import Callable, Sequence
 
 from .metrics import (
-    MeanSummary,
     MetricsRecord,
     PERCENT_COLUMNS,
     aggregate_means,
@@ -187,7 +186,7 @@ class EntryStatus:
 class ReportBundle:
     corpus_name: str
     records: list[MetricsRecord]
-    means: MeanSummary
+    means: dict
     stats: dict
     boxplot: dict[str, dict]
     provenance: dict
@@ -195,10 +194,6 @@ class ReportBundle:
     #: One report per ok entry status, in the same order; each is written
     #: to ``reductions/<entry name>.json``.
     reduction_reports: list[dict] = field(default_factory=list)
-
-    @property
-    def claim_lines(self) -> list[str]:
-        return list(self.stats.get("claims", []))
 
     @property
     def entry_errors(self) -> int:
@@ -217,7 +212,7 @@ class ReportBundle:
             "corpus_name": self.corpus_name,
             "provenance": self.provenance,
             "entries": [asdict(status) for status in self.entry_statuses],
-            "claims": self.claim_lines,
+            "claims": self.stats["claims"],
             "records": len(self.records),
             "errors": self.entry_errors,
         }

@@ -34,8 +34,9 @@ def _check_mean_row(table: str, expected: tuple, runtime_limit: float | None):
     bundle = replicate_from_fixtures(table)
     elapsed = time.perf_counter() - started
     means = bundle.means
-    got = (means.stmts, means.ntn, means.tn, means.ars, means.prs * 100,
-           means.antrs, means.pntrs * 100, means.atrs, means.ptrs * 100)
+    got = (means["stmts"], means["ntn"], means["tn"], means["ars"],
+           means["prs"] * 100, means["antrs"], means["pntrs"] * 100,
+           means["atrs"], means["ptrs"] * 100)
     labels = ("stmts", "ntn", "tn", "ars", "prs", "antrs", "pntrs", "atrs", "ptrs")
     rates = {"prs", "pntrs", "ptrs"}
     ok = True
@@ -101,7 +102,7 @@ def test_criterion_4_wilcoxon_probability_columns():
                    and result.statistic == v_expected
                    and abs(result.p_value - p_expected) <= 0.02)
         outcomes.append((table, result, ok_here))
-    claim2 = replicate_from_fixtures("I").claim_lines[1]
+    claim2 = replicate_from_fixtures("I").stats["claims"][1]
     claim_ok = "no significant difference" in claim2
     ok = all(flag for _, _, flag in outcomes) and claim_ok
     detail = "; ".join(

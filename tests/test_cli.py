@@ -107,6 +107,25 @@ def test_reduce_refuses_a_source_utf8_cannot_encode(tmp_path, capsys):
     assert "source cannot be written as UTF-8 (at $.source)" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("oracle_cmd, options, message", [
+    ("touch {marker}", ["--signature-pattern", "("],
+     "signature_pattern is not a regular expression"),
+    ("touch {marker}", ["--fail-exit-codes", "0,1"], "fail_exit_codes cannot hold 0"),
+    ("touch {marker} 'unclosed", [],
+     "command_template cannot be split: No closing quotation"),
+    ("", [], "command_template names no command"),
+], ids=["pattern", "exit-code-0", "unclosed-quote", "empty-command"])
+def test_reduce_refuses_an_oracle_it_can_never_honour(tmp_path, capsys, oracle_cmd,
+                                                      options, message):
+    marker = tmp_path / "oracle-ran"
+    test = tmp_path / "T.java"
+    test.write_text("a();\nb();\n", encoding="utf-8")
+    oracle_cmd = oracle_cmd.format(marker=shlex.quote(str(marker)))
+    assert main(["reduce", str(test), "--oracle-cmd", oracle_cmd, *options]) == 2
+    assert not marker.exists()  # refused before any oracle run
+    assert message in capsys.readouterr().err
+
+
 def test_reduce_with_non_utf8_test_output(tmp_path):
     test = tmp_path / "T.java"
     test.write_text("a();\nb();\n", encoding="utf-8")
@@ -217,6 +236,25 @@ def test_stats_wrong_column_count_exit_2(capsys, test_name, cols, message):
     assert main(["stats", "--csv", str(SYNTHETIC / "expected_metrics.csv"),
                  "--cols", cols, "--test", test_name]) == 2
     assert capsys.readouterr().err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("cell", ["nan", "inf"])
+@pytest.mark.parametrize("command", [
+    ["stats", "--cols", "pntrs", "--test", "shapiro", "--csv"],
+    ["stats", "--cols", "pntrs,ptrs", "--test", "wilcoxon", "--csv"],
+    ["replicate", "--table", "I", "--fixture"],
+], ids=["shapiro", "wilcoxon", "replicate"])
+def test_metrics_cell_that_is_not_finite_exits_2(tmp_path, capsys, command, cell):
+    lines = (SYNTHETIC / "expected_metrics.csv").read_text(encoding="utf-8").splitlines()
+    cells = lines[3].split(",")
+    cells[8] = cell  # pntrs
+    lines[3] = ",".join(cells)
+    fixture = tmp_path / "metrics.csv"
+    fixture.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    assert main([*command, str(fixture)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: line 4: not a finite number: '{cell}'\n"
+    assert captured.out == ""
 
 
 def test_replicate_prints_skipped_wilcoxon(tmp_path, capsys):

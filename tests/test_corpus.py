@@ -1,6 +1,7 @@
 import hashlib
 import importlib.util
 import json
+import shlex
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
@@ -313,16 +314,14 @@ def _without_wall_time(reports):
 def test_parallel_run_equals_serial_run(tmp_path):
     entries = _growing_entries(tmp_path, 8)
     entries.insert(3, dict(entries[0], name="missing", test_file="tests/missing.java"))
-    serial = run_corpus(load_corpus_config(write_corpus(tmp_path, entries)),
-                        write=False)
+    serial = run_corpus(load_corpus_config(write_corpus(tmp_path, entries)))
     assert [r.test_name for r in serial.records] == [f"t{i}" for i in range(8)]
     missing = serial.entry_statuses[3]
     assert missing.name == "missing" and not missing.ok
     assert missing.error.startswith("FileNotFoundError: ")
     for parallelism in (2, 4):
         parallel = run_corpus(
-            load_corpus_config(write_corpus(tmp_path, entries, parallelism=parallelism)),
-            write=False)
+            load_corpus_config(write_corpus(tmp_path, entries, parallelism=parallelism)))
         assert serial.records == parallel.records
         assert serial.entry_statuses == parallel.entry_statuses
         assert _without_wall_time(serial.reduction_reports) == \
@@ -350,13 +349,12 @@ def test_parallel_run_starts_the_largest_test_files_first(tmp_path, monkeypatch)
 
     monkeypatch.setattr(corpus, "_run_entry", recording)
     monkeypatch.setattr(corpus, "ThreadPoolExecutor", one_worker_pool)
-    bundle = run_corpus(load_corpus_config(write_corpus(tmp_path, entries, parallelism=3)),
-                        write=False)
+    bundle = run_corpus(load_corpus_config(write_corpus(tmp_path, entries, parallelism=3)))
     assert workers == [3]
     assert started == ["t4", "t4-again", "t3", "t2", "t1", "t0", "missing"]
     assert [s.name for s in bundle.entry_statuses] == [e["name"] for e in entries]
     started.clear()
-    run_corpus(load_corpus_config(write_corpus(tmp_path, entries)), write=False)
+    run_corpus(load_corpus_config(write_corpus(tmp_path, entries)))
     assert workers == [3]  # a serial run uses no pool
     assert started == [e["name"] for e in entries]
 
@@ -383,7 +381,7 @@ def test_tree_document_entries_are_supported(tmp_path):
         "oracle": {"mode": "scripted", "failure_sets": [[1]]},
     }]
     config = load_corpus_config(write_corpus(tmp_path, entries))
-    bundle = run_corpus(config, write=False)
+    bundle = run_corpus(config)
     assert bundle.records[0].ars == 1
 
 
@@ -450,8 +448,7 @@ def test_unknown_oracle_key_is_an_entry_error(tmp_path):
         entry("typo", "c();\nd();\n", [[1]], tmp_path),
     ]
     entries[1]["oracle"]["retries_typo"] = 3
-    bundle = run_corpus(load_corpus_config(write_corpus(tmp_path, entries)),
-                        write=False)
+    bundle = run_corpus(load_corpus_config(write_corpus(tmp_path, entries)))
     status = {s.name: s for s in bundle.entry_statuses}
     assert status["good"].ok
     assert not status["typo"].ok
@@ -465,11 +462,31 @@ def test_unknown_oracle_mode_is_an_entry_error(tmp_path):
         entry("bogus", "c();\nd();\n", [[1]], tmp_path),
     ]
     entries[1]["oracle"]["mode"] = "bogus"
-    bundle = run_corpus(load_corpus_config(write_corpus(tmp_path, entries)),
-                        write=False)
+    bundle = run_corpus(load_corpus_config(write_corpus(tmp_path, entries)))
     assert [s.ok for s in bundle.entry_statuses] == [True, False]
     assert bundle.entry_statuses[1].error == ("CorpusConfigError: entry 'bogus': "
                                               "unknown oracle mode 'bogus'")
+
+
+@pytest.mark.parametrize("setting, message", [
+    ({"signature_pattern": "("}, "signature_pattern is not a regular expression"),
+    ({"fail_exit_codes": [0, 1]}, "fail_exit_codes cannot hold 0, which means Pass"),
+    ({"command_template": ""}, "command_template names no command"),
+    ({"command_template": None}, "command_template must be a string"),
+], ids=["pattern", "exit-code-0", "empty-command", "null-command"])
+def test_oracle_that_can_never_be_honoured_is_an_entry_error(tmp_path, setting, message):
+    marker = tmp_path / "oracle-ran"
+    entries = [
+        entry("good", "a();\nb();\n", [[1]], tmp_path),
+        entry("cmd", "c();\nd();\n", [[1]], tmp_path),
+    ]
+    entries[1]["oracle"] = {"mode": "command",
+                            "command_template": f"touch {shlex.quote(str(marker))}",
+                            "signature_pattern": "x", **setting}
+    bundle = run_corpus(load_corpus_config(write_corpus(tmp_path, entries)))
+    assert [s.ok for s in bundle.entry_statuses] == [True, False]
+    assert bundle.entry_statuses[1].error.startswith(f"ValueError: {message}")
+    assert not marker.exists()  # refused before any oracle run
 
 
 def test_corpus_whose_every_entry_fails_is_an_error(tmp_path, capsys):
@@ -527,7 +544,7 @@ def test_command_oracle_entries_run_in_scratch_dirs(tmp_path, monkeypatch):
     assert len(outcome.removed) == 2
     assert list(scratch.iterdir()) == []
 
-    bundle = run_corpus(config, write=False)
+    bundle = run_corpus(config)
     assert bundle.entry_errors == 0
     assert bundle.records[0].ars == 2
     assert list(scratch.iterdir()) == []
@@ -550,7 +567,7 @@ def test_shipped_synthetic_corpus_matches_pinned_expectations(tmp_path):
 def test_corpus_records_match_reduction_reports(tmp_path):
     config = load_corpus_config(SYNTHETIC / "corpus.json")
     config.output_dir = tmp_path / "out"
-    bundle = run_corpus(config, write=False)
+    bundle = run_corpus(config)
     by_name = {r.test_name: r for r in bundle.records}
     for report in bundle.reduction_reports:
         record = by_name[report["test_name"]]
@@ -566,9 +583,10 @@ SYNTHETIC_ORACLE_CALLS = [10, 7, 14, 8, 14, 15, 11, 17, 13, 11, 17, 18, 10, 12, 
                           13, 13, 22, 12, 18, 16, 13, 7, 18, 14, 18, 8, 10, 13, 17]
 
 
-def test_synthetic_corpus_oracle_calls_are_pinned():
+def test_synthetic_corpus_oracle_calls_are_pinned(tmp_path):
     config = load_corpus_config(SYNTHETIC / "corpus.json")
-    bundle = run_corpus(config, write=False)
+    config.output_dir = tmp_path / "out"
+    bundle = run_corpus(config)
     reports = bundle.reduction_reports
     calls = [report["oracle_calls"] for report in reports]
     assert calls == SYNTHETIC_ORACLE_CALLS
@@ -611,7 +629,7 @@ WORKLOAD_SLICES = {
 @pytest.mark.parametrize("workload, count", sorted(WORKLOAD_SLICES))
 def test_workload_slice_calls_are_pinned(tmp_path, workload, count):
     inputs = _benchmark_workloads().write_inputs(workload, 1, tmp_path, REPO, count)
-    bundle = run_corpus(load_corpus_config(inputs.config_path), write=False)
+    bundle = run_corpus(load_corpus_config(inputs.config_path))
     assert bundle.entry_errors == 0
     retained = {r["test_name"]: r["retained"] for r in bundle.reduction_reports}
     digest = hashlib.sha256(json.dumps(retained, sort_keys=True).encode()).hexdigest()

@@ -81,21 +81,21 @@ def test_metrics_match_recomputation_from_reduction():
 def test_single_record_mean_is_identity():
     record = compute_metrics((10, 8, 2), (4, 1), test_name="only")
     means = aggregate_means([record])
-    assert means.n == 1
-    assert means.stmts == record.stmts
-    assert means.prs == record.prs
-    assert means.prntrs == record.prntrs
-    assert means.prtrs == record.prtrs
-    assert means.prtrs_excluded == 0
+    assert means["n"] == 1
+    assert means["stmts"] == record.stmts
+    assert means["prs"] == record.prs
+    assert means["prntrs"] == record.prntrs
+    assert means["prtrs"] == record.prtrs
+    assert means["prtrs_excluded"] == 0
 
 
 def test_mean_excludes_undefined_probabilities():
     defined = compute_metrics((10, 8, 2), (4, 2))
     undefined = compute_metrics((5, 5, 0), (1, 0))
     means = aggregate_means([defined, undefined])
-    assert means.prtrs == defined.prtrs  # only one row defines it
-    assert means.prtrs_excluded == 1
-    assert means.prntrs_excluded == 0
+    assert means["prtrs"] == defined.prtrs  # only one row defines it
+    assert means["prtrs_excluded"] == 1
+    assert means["prntrs_excluded"] == 0
 
 
 def test_empty_corpus_error():
@@ -121,9 +121,9 @@ def test_concatenation_mean_is_weighted_average():
     mean_a = aggregate_means(a)
     mean_b = aggregate_means(b)
     for column in ("stmts", "ars", "prs", "pntrs", "ptrs"):
-        weighted = (getattr(mean_a, column) * len(a)
-                    + getattr(mean_b, column) * len(b)) / (len(a) + len(b))
-        assert abs(getattr(combined, column) - weighted) < 1e-12
+        weighted = (mean_a[column] * len(a)
+                    + mean_b[column] * len(b)) / (len(a) + len(b))
+        assert abs(combined[column] - weighted) < 1e-12
 
 
 def test_percent_formatting_is_two_decimal_half_up():
@@ -191,14 +191,15 @@ def test_summary_csv_text_of_table_one():
           "1.2333,5.38,53.50,53.89,0,8\n")
 
 
-def test_summary_csv_text_of_synthetic_corpus():
+def test_summary_csv_text_of_synthetic_corpus(tmp_path):
     from pathlib import Path
 
     from redustat.corpus import load_corpus_config, run_corpus
 
     config = load_corpus_config(Path(__file__).resolve().parent.parent / "src"
                                 / "redustat" / "data" / "synthetic" / "corpus.json")
-    assert summary_to_csv(run_corpus(config, write=False).means) == (
+    config.output_dir = tmp_path / "out"
+    assert summary_to_csv(run_corpus(config).means) == (
         SUMMARY_HEADER
         + "30,11.4000,8.9000,2.5000,8.4333,70.45,7.2333,61.75,"
           "1.2000,8.70,78.53,39.20,0,3\n")
@@ -215,6 +216,15 @@ def test_summary_csv_text_of_synthetic_corpus():
     # percent cells are read before count cells
     ("t,p,nine,7,2,2,bad,2,22.22,0,0,,",
      "line 2: could not convert string to float: 'bad'"),
+    # no statistic or mean is defined over a cell that is not finite
+    ("t,p,9,7,2,2,nan,2,22.22,0,0,,",
+     "line 2: not a finite number: 'nan'"),
+    ("t,p,9,7,2,2,22.22,2,22.22,0,0,inf%,",
+     "line 2: not a finite number: 'inf'"),
+    ("t,p,9,7,2,2,22.22,2,-Infinity,0,0,,",
+     "line 2: not a finite number: '-Infinity'"),
+    ("t,p,9,7,2,2,22.22,2,22.22,0,0,,1e999",
+     "line 2: not a finite number: '1e999'"),
 ])
 def test_csv_schema_error_messages(row, message):
     with pytest.raises(CsvSchemaError) as excinfo:

@@ -267,6 +267,16 @@ def test_config_validation():
                      match_policy=MatchPolicy.ANY_FAILURE)
     with pytest.raises(ValueError):
         OracleConfig(command_template="x", match_policy=MatchPolicy.SAME_SIGNATURE)
+    with pytest.raises(ValueError, match="signature_pattern is not a regular expression"):
+        OracleConfig(command_template="x", signature_pattern="(")
+    with pytest.raises(ValueError, match="command_template cannot be split"):
+        OracleConfig(command_template="x 'y", match_policy=MatchPolicy.ANY_FAILURE)
+    for template in ("", "   "):
+        with pytest.raises(ValueError, match="command_template names no command"):
+            OracleConfig(command_template=template, match_policy=MatchPolicy.ANY_FAILURE)
+    with pytest.raises(ValueError, match="fail_exit_codes cannot hold 0"):
+        OracleConfig(command_template="x", fail_exit_codes=frozenset({0, 1}),
+                     match_policy=MatchPolicy.ANY_FAILURE)
 
 
 # -- signature normalization and policy ----------------------------------------

@@ -57,8 +57,9 @@ def test_derived_values_match_published_tables_modulo_typos():
 def test_mean_row_table1():
     means = replicate_from_fixtures("I").means
     expected = (20.9, 18.86, 2.03, 12.46, 53.21, 11.2, 47.64, 1.23, 5.38)
-    got = (means.stmts, means.ntn, means.tn, means.ars, means.prs * 100,
-           means.antrs, means.pntrs * 100, means.atrs, means.ptrs * 100)
+    got = (means["stmts"], means["ntn"], means["tn"], means["ars"],
+           means["prs"] * 100, means["antrs"], means["pntrs"] * 100,
+           means["atrs"], means["ptrs"] * 100)
     for mine, published in zip(got, expected):
         assert abs(mine - published) <= 0.1
 
@@ -66,8 +67,9 @@ def test_mean_row_table1():
 def test_mean_row_table2():
     means = replicate_from_fixtures("II").means
     expected = (20.16, 18.06, 2.13, 15.5, 69.42, 13.73, 62.37, 1.76, 7.04)
-    got = (means.stmts, means.ntn, means.tn, means.ars, means.prs * 100,
-           means.antrs, means.pntrs * 100, means.atrs, means.ptrs * 100)
+    got = (means["stmts"], means["ntn"], means["tn"], means["ars"],
+           means["prs"] * 100, means["antrs"], means["pntrs"] * 100,
+           means["atrs"], means["ptrs"] * 100)
     for mine, published in zip(got, expected):
         assert abs(mine - published) <= 0.1
 
@@ -93,6 +95,6 @@ def test_replicate_accepts_external_fixture_path(tmp_path):
 
 def test_claim_verdicts_match_study_conclusions():
     for table in ("I", "II"):
-        claims = replicate_from_fixtures(table).claim_lines
+        claims = replicate_from_fixtures(table).stats["claims"]
         assert "PASS" in claims[0]
         assert "no significant difference" in claims[1]
