@@ -101,6 +101,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_reduce(args) -> int:
+    # Refused before the baseline, so a bad path costs no oracle run.
+    out = Path(args.out) if args.out else None
+    if out and (out.is_dir() or not out.absolute().parent.is_dir()):
+        raise ValueError(f"--out {args.out!r} must name a file in an existing directory")
     path = Path(args.test)
     text = path.read_text(encoding="utf-8")
     if path.suffix == ".json":
@@ -117,8 +121,8 @@ def _cmd_reduce(args) -> int:
     )
     outcome = reduce_test(ast, oracle)
     report = dump_reduction_report(outcome.to_report())
-    if args.out:
-        Path(args.out).write_text(report, encoding="utf-8")
+    if out:
+        out.write_text(report, encoding="utf-8")
     else:
         sys.stdout.write(report)
     print(f"retained {len(outcome.retained)}/{ast.total_statements} statements "

@@ -35,7 +35,8 @@ a workdir. Per-entry reduction reports (with the removal trace) land in
 names: not empty, ``.`` or ``..``, without a path separator or NUL, and at
 most 255 bytes with the ``.json``. Names and projects are written to UTF-8
 files, so neither may hold a lone surrogate. A config that breaks these rules
-is refused before any entry runs, so no output file is touched.
+is refused before any entry runs, so no output file is touched. So is an
+``output_dir`` whose nearest existing path is not a directory.
 """
 
 from __future__ import annotations
@@ -248,6 +249,12 @@ def run_corpus(config: CorpusConfig) -> ReportBundle:
     Per-entry failures are recorded in the bundle, not raised; callers turn
     ``bundle.entry_errors`` into a nonzero exit code.
     """
+    existing = config.output_dir
+    while not os.path.lexists(existing) and existing != existing.parent:
+        existing = existing.parent
+    if not existing.is_dir():
+        raise CorpusConfigError(f"output_dir {str(config.output_dir)!r}: "
+                                f"{str(existing)!r} is not a directory")
     if config.parallelism == 1:
         results = [_run_entry(entry, config.policy) for entry in config.entries]
     else:

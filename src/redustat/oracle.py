@@ -108,6 +108,12 @@ class Oracle(Protocol):
 
     ``retained`` is read-only and valid only during the call; an oracle that
     keeps it must copy it with ``frozenset(retained)``.
+
+    A verdict is read as a property of the candidate's text: the reducer
+    sends no candidate twice after a rejection, as long as that candidate is
+    the one removing the same statement would give, and its 1-minimality
+    certificate rests on that one run per removal. An Invalid verdict, a
+    timeout included, is remembered like any other rejection.
     """
 
     match_policy: MatchPolicy

@@ -11,8 +11,19 @@ coarse-before-fine order of hierarchical delta debugging. Leaves go in source
 order descending, so assertions near the end are attempted before the setup
 code they depend on.
 
-A sweep that accepts nothing is the 1-minimality certificate: every single
-subtree removal from the final set was just attempted and rejected.
+A rejection stays settled while the candidate it judged still exists.
+Rejecting node ``x`` judges ``kept - subtree(x)``, and a later commit of the
+subtree of ``n`` leaves that set as it was exactly when ``n`` lies inside
+``subtree(x)``: subtrees are nested or disjoint, so a commit unsettles every
+rejection except those of ``n``'s ancestors. A sweep skips a settled node
+without an oracle call. This is a cache of rejected candidate sets (kept sets
+only shrink, so a repeat of ``kept - subtree(x)`` can only be ``x``'s own
+earlier rejection) that stores no sets. It reads a verdict as a property of
+the candidate's text, as the certificate below does.
+
+The reduction ends with a sweep that accepts nothing. That is the
+1-minimality certificate: each retained statement was rejected on the very
+candidate it would be now, the final set minus its subtree.
 
 A sweep keeps the retained ids in one mutable set, ``kept``. Each candidate
 is a read-only view of that set minus the attempted subtree, and an accepted
@@ -168,7 +179,9 @@ def _commit(kept: set[int], within: dict[frozenset[int], bool],
 
 
 class _Session:
-    """Shared state for one reduction: oracle plumbing and the trace."""
+    """Shared state for one reduction: oracle plumbing, the trace, and the
+    ``settled`` ids, whose last rejection judged the candidate that removing
+    them would give now."""
 
     def __init__(self, ast: TestCaseAst, oracle: Oracle, baseline: str):
         self.ast = ast
@@ -176,6 +189,7 @@ class _Session:
         self.baseline = baseline
         self.policy = oracle.match_policy
         self.trace: list[TraceEntry] = []
+        self.settled: set[int] = set()
 
     def accepts(self, retained: Set[int]) -> tuple[bool, OracleVerdict]:
         verdict = evaluate(self.oracle, retained, self.ast)
@@ -198,18 +212,31 @@ def _sweep_order(ast: TestCaseAst) -> list[int]:
 def _sweep(session: _Session, order: list[int],
            retained: frozenset[int]) -> tuple[frozenset[int], bool]:
     ast = session.ast
+    statements = ast.statements
+    settled = session.settled
     kept = set(retained)
     within: dict[frozenset[int], bool] = {}
     changed = False
     for node_id in order:
-        if node_id not in kept:
-            continue  # removed already, or along with an earlier subtree
+        if node_id not in kept or node_id in settled:
+            continue  # removed already, or rejected on this very candidate
         candidate = _Candidate(kept, ast.subtree_ids(node_id) & kept, within)
         ok, verdict = session.accepts(candidate)
         session.trace.append(TraceEntry(node_id, ok, verdict.status))
         if ok:
             _commit(kept, within, candidate.dropped)
+            if settled:
+                # The commit removed nodes inside its ancestors' subtrees
+                # only, so their candidates alone are unchanged.
+                ancestors = []
+                parent = statements[node_id].parent
+                while parent is not None:
+                    ancestors.append(parent)
+                    parent = statements[parent].parent
+                settled.intersection_update(ancestors)
             changed = True
+        else:
+            settled.add(node_id)
     return frozenset(kept), changed
 
 

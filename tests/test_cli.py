@@ -126,6 +126,20 @@ def test_reduce_refuses_an_oracle_it_can_never_honour(tmp_path, capsys, oracle_c
     assert message in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("out", [".", "missing/r.json", "file/r.json"],
+                         ids=["directory", "missing-parent", "parent-is-a-file"])
+def test_reduce_refuses_an_out_it_cannot_write(tmp_path, capsys, out):
+    marker = tmp_path / "oracle-ran"
+    test = tmp_path / "T.java"
+    test.write_text("a();\nb();\n", encoding="utf-8")
+    (tmp_path / "file").write_text("", encoding="utf-8")
+    code = main(["reduce", str(test), "--oracle-cmd", f"touch {shlex.quote(str(marker))}",
+                 "--out", str(tmp_path / out)])
+    assert code == 2
+    assert not marker.exists()  # refused before the baseline
+    assert "must name a file in an existing directory" in capsys.readouterr().err
+
+
 def test_reduce_with_non_utf8_test_output(tmp_path):
     test = tmp_path / "T.java"
     test.write_text("a();\nb();\n", encoding="utf-8")

@@ -126,8 +126,10 @@ def test_subtrees_are_attempted_before_leaves():
     ast = parse_test("if (a) { x();\n y(); }\nz();\n")
     outcome = reduce_test(ast, scripted({3}))
     assert outcome.retained == {3}
-    assert [entry.node_id for entry in outcome.trace] == [0, 3, 3]
-    assert outcome.oracle_calls == 4
+    # z() was rejected after the last commit, so the certifying pass has
+    # nothing left to try
+    assert [entry.node_id for entry in outcome.trace] == [0, 3]
+    assert outcome.oracle_calls == 3
 
 
 def test_outer_trees_are_attempted_before_the_trees_they_hold():
@@ -135,7 +137,7 @@ def test_outer_trees_are_attempted_before_the_trees_they_hold():
     ast = parse_test("if (a) { if (b) { x(); }\n y(); }\nz();\n")
     outcome = reduce_test(ast, scripted({4}))
     assert outcome.retained == {4}
-    assert [entry.node_id for entry in outcome.trace] == [0, 4, 4]
+    assert [entry.node_id for entry in outcome.trace] == [0, 4]
 
 
 def test_monotone_oracles_reduce_to_the_closure_of_the_cause():
@@ -272,10 +274,12 @@ def start_descending(node):
     return -node.span[0]
 
 
-def frozenset_sweep(session, order, retained, tree_key=end_descending):
+def frozenset_sweep(session, order, retained, tree_key=end_descending, rejected=None):
     """The reference sweep: every candidate is a new frozenset. Trees go by
     ``tree_key``, leaves by descending span start, ties by id; the reducer's
-    ``order`` is not read."""
+    ``order`` is not read. ``rejected``, a dict kept for one reduction, maps
+    each rejected candidate to its verdict, and a candidate found there is not
+    sent again; without it every candidate is sent."""
     ast = session.ast
     tree_ids = [i for i in retained if ast.statements[i].category is Category.TREE]
     leaf_ids = [i for i in retained if ast.statements[i].category is Category.NON_TREE]
@@ -286,12 +290,21 @@ def frozenset_sweep(session, order, retained, tree_key=end_descending):
         if node_id not in retained:
             continue
         attempt = retained - ast.subtree_ids(node_id)
+        if rejected is not None and attempt in rejected:
+            continue
         ok, verdict = session.accepts(attempt)
         session.trace.append(TraceEntry(node_id, ok, verdict.status))
         if ok:
             retained = attempt
             changed = True
+        elif rejected is not None:
+            rejected[attempt] = verdict.status
     return retained, changed
+
+
+def cached_sweep(**options):
+    """The reference sweep with a cache of its own, for one reduction."""
+    return functools.partial(frozenset_sweep, rejected={}, **options)
 
 
 def forest_ast(shape):
@@ -368,7 +381,7 @@ def draw_scripted(ast, data):
 def test_view_sweep_equals_the_frozenset_sweep(shape, data):
     ast = forest_ast(shape)
     oracle = RecordingOracle(draw_scripted(ast, data))
-    with mock.patch.object(reducer, "_sweep", frozenset_sweep):
+    with mock.patch.object(reducer, "_sweep", cached_sweep()):
         expected = reduce_test(ast, oracle)
     expected_candidates, oracle.seen = oracle.seen, []
     outcome = reduce_test(ast, oracle)
@@ -381,6 +394,32 @@ def test_view_sweep_equals_the_frozenset_sweep(shape, data):
 
 @settings(max_examples=300, deadline=None)
 @given(_SHAPES, st.data())
+def test_settled_rejections_drop_exactly_the_repeated_candidates(shape, data):
+    # Without the cache, the reference sends every candidate; a repeat can
+    # only be one the oracle rejected before. Skipping those changes no
+    # decision, so results and passes stay and the repeats leave the trace.
+    ast = forest_ast(shape)
+    oracle = RecordingOracle(draw_scripted(ast, data))
+    with mock.patch.object(reducer, "_sweep", frozenset_sweep):
+        uncached = reduce_test(ast, oracle)
+    candidates, oracle.seen = [members for members, _, _ in oracle.seen[1:]], []
+    sent, fresh = set(), []
+    for entry, members in zip(uncached.trace, candidates, strict=True):
+        if members in sent:
+            assert not entry.accepted
+        else:
+            fresh.append(entry)
+        sent.add(members)
+    outcome = reduce_test(ast, oracle)
+    assert outcome.retained == uncached.retained
+    assert outcome.passes == uncached.passes
+    assert list(outcome.trace) == fresh
+    assert len({members for members, _, _ in oracle.seen}) == len(oracle.seen)
+    assert verify_one_minimal(ast, oracle.scripted, outcome.retained)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_SHAPES, st.data())
 def test_outer_first_order_keeps_results_and_saves_calls(shape, data):
     # Within one sweep, the trees a tree holds sit right after it in the new
     # order and right before it in the old one. Dropping the tree leaves the
@@ -388,8 +427,7 @@ def test_outer_first_order_keeps_results_and_saves_calls(shape, data):
     # accepted tree skips the calls spent inside it.
     ast = forest_ast(shape)
     oracle = draw_scripted(ast, data)
-    old_sweep = functools.partial(frozenset_sweep, tree_key=start_descending)
-    with mock.patch.object(reducer, "_sweep", old_sweep):
+    with mock.patch.object(reducer, "_sweep", cached_sweep(tree_key=start_descending)):
         old = reduce_test(ast, oracle)
     outcome = reduce_test(ast, oracle)
     assert outcome.retained == old.retained
@@ -485,14 +523,16 @@ def _every_other_leaf_test():
 
 def test_every_other_leaf_reduction_is_pinned():
     # Both figures come from a separate greedy reducer with the same order
-    # (trees by descending span end, then leaves by descending span start)
-    # and its own scripted predicate; with inner trees first, it gives the
-    # earlier pins, 1 604 calls and a digest starting ff40c14e.
+    # (trees by descending span end, then leaves by descending span start),
+    # its own scripted predicate and a cache of the candidate sets it saw
+    # rejected. Without the cache it gives the earlier pins, 1 603 calls and
+    # a digest starting 88b6d1a4; with inner trees first as well, 1 604 and
+    # ff40c14e.
     ast, needed = _every_other_leaf_test()
     assert (ast.total_statements, len(needed)) == (1041, 440)
     outcome = reduce_test(ast, ScriptedOracle((needed,)))
     assert outcome.retained == ancestor_closure(ast, needed)
     trace = json.dumps(outcome.to_report()["trace"], sort_keys=True)
-    assert outcome.oracle_calls == 1603
+    assert outcome.oracle_calls == 1602
     assert hashlib.sha256(trace.encode()).hexdigest() == \
-        "88b6d1a4f3b9953672ad94489e58dc7ae745021040778ae154adb26e893cfbb5"
+        "097d70b919b8566bdc5fb22533b84cd875a7f7e8c39c2e8ad7bcaff2f6566613"
