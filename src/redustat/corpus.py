@@ -19,9 +19,9 @@ A corpus config is a JSON file::
 
 The oracle keys other than ``mode`` are the fields of
 :class:`~redustat.oracle.ScriptedOracle` or
-:class:`~redustat.oracle.OracleConfig`, with their defaults; an unknown key
-is an entry error. The corpus ``policy`` sets a command oracle's
-``match_policy``.
+:class:`~redustat.oracle.OracleConfig`, with their defaults; an unknown key,
+or an ``oracle`` that is not an object, is an entry error. The corpus
+``policy`` sets a command oracle's ``match_policy``.
 
 Entries are reduced in parallel up to ``parallelism``; each entry is
 isolated, so one failing entry never corrupts its siblings. A parallel run
@@ -79,6 +79,8 @@ class CorpusEntry:
         return parse_test(text, test_name=self.name, project=self.project)
 
     def build_oracle(self, policy: MatchPolicy) -> Oracle:
+        if not isinstance(self.oracle_spec, dict):
+            raise CorpusConfigError(f"entry {self.name!r}: oracle must be an object")
         spec = dict(self.oracle_spec)
         mode = spec.pop("mode", "scripted")
         oracle_types = {"scripted": ScriptedOracle, "command": OracleConfig}

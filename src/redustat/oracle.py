@@ -5,13 +5,11 @@ An oracle is any object with a ``match_policy`` and a method
 the ``retained`` statement ids of ``ast``. ``retained`` is a read-only set
 that is valid only during the call: the reducer hands out a view of its live
 state, so an oracle that keeps the set must copy it with
-``frozenset(retained)``. The view's own operators cost the attempted
-subtree's size. Its live state shrinks only when the reducer commits an
-accepted candidate, so ``retained >= fs`` on a frozenset ``fs`` is remembered
-for the rest of the sweep, until a commit removes one of ``fs``'s members;
-asked again, it costs the subtree's size, not ``fs``'s. :func:`evaluate` is
-the single call point; the reducer never looks at an oracle's type. Two
-oracles ship:
+``frozenset(retained)``. A view implements ``in``, ``len``, iteration and the
+memoised ``>=`` itself. Every other ``Set`` operation (``&``, ``isdisjoint``,
+``<=``, ``==``) comes from ``collections.abc.Set`` at the cost of its other
+operand. :func:`evaluate` is the single call point; the reducer never looks
+at an oracle's type. Two oracles ship:
 
 - :class:`OracleConfig` renders the candidate, writes it to a file in a fresh
   temporary directory, substitutes its path into a command template, and
@@ -107,7 +105,10 @@ class Oracle(Protocol):
     """What the reducer needs of an oracle.
 
     ``retained`` is read-only and valid only during the call; an oracle that
-    keeps it must copy it with ``frozenset(retained)``.
+    keeps it must copy it with ``frozenset(retained)``. A reducer view
+    implements ``in``, ``len``, iteration and the memoised ``>=`` itself.
+    Every other ``Set`` operation (``&``, ``isdisjoint``, ``<=``, ``==``)
+    comes from ``collections.abc.Set`` at the cost of its other operand.
 
     A verdict is read as a property of the candidate's text: the reducer
     sends no candidate twice after a rejection, as long as that candidate is
@@ -195,13 +196,13 @@ class ScriptedOracle:
             raise ValueError("failure sets must be non-empty")
 
     def fails(self, retained: AbstractSet[int]) -> bool:
-        # The candidate's own operators: a reducer view answers them at the
-        # cost of the attempted subtree, not of the retained set or of a
-        # failure set it was already compared with in this sweep.
-        if self.blockers:
-            present = len(retained & self.blockers)
-            if 0 < present < len(self.blockers):
-                return False
+        # A view implements ``in``, ``len``, iteration and the memoised ``>=``
+        # itself. Every other ``Set`` operation (``&``, ``isdisjoint``, ``<=``,
+        # ``==``) comes from ``collections.abc.Set`` at the cost of its other
+        # operand, so ``isdisjoint`` here costs the blockers.
+        if self.blockers and not (retained >= self.blockers
+                                  or retained.isdisjoint(self.blockers)):
+            return False  # some but not all blockers retained
         return any(retained >= fs for fs in self.failure_sets)
 
     def verdict(self, retained: AbstractSet[int], ast: TestCaseAst) -> OracleVerdict:

@@ -85,20 +85,19 @@ def _numerals(source: str) -> str:
 
 
 @lru_cache(maxsize=16)
-def _patterns(numerals: str) -> tuple[re.Pattern, re.Pattern]:
-    """The pattern of one piece (whitespace, then a token, a comment or the
-    end of the source), capturing the piece and the token; and the longest
-    run of pieces from the start of a source.
+def _pattern(numerals: str) -> re.Pattern:
+    """The pattern of one piece: whitespace, then a token, a comment or the
+    end of the source, capturing the piece and the token.
 
     Where no piece starts, the rest of the source is matched uncaptured, so
     a malformed source is scanned once rather than retried at every later
-    position.
+    position. A piece fails only where, after whitespace, no token, comment
+    or end of the source starts, so the error lies past that whitespace.
     """
     token = (_TOKEN.replace("NUMERALS", re.escape(numerals))
              .replace("DIGITS", re.escape("".join(filter(str.isdigit, numerals)))))
-    flags = re.VERBOSE | re.DOTALL
-    return (re.compile(rf"([ \t\r\n]*(?:({token})|{_COMMENT}|\Z))|.+", flags),
-            re.compile(rf"(?:[ \t\r\n]*(?:{token}|{_COMMENT}))*[ \t\r\n]*", flags))
+    return re.compile(rf"([ \t\r\n]*(?:({token})|{_COMMENT}|\Z))|.+",
+                      re.VERBOSE | re.DOTALL)
 
 
 def tokenize(source: str) -> tuple[list[str], list[int]]:
@@ -108,15 +107,14 @@ def tokenize(source: str) -> tuple[list[str], list[int]]:
     String and character literals become single tokens so that braces or
     semicolons inside them never affect statement boundaries.
     """
-    piece, valid_prefix = _patterns(_numerals(source))
     # A piece that holds a comment or the end of the source captures an
     # empty token, and the uncaptured rest of a malformed source adds no
     # length. The pieces cover the source exactly when every character was
-    # consumed.
-    found = piece.findall(source)
+    # consumed; otherwise the last offset is the end of the last piece.
+    found = _pattern(_numerals(source)).findall(source)
     offsets = list(accumulate(map(len, map(itemgetter(0), found))))
     if offsets[-1] != len(source):
-        pos = valid_prefix.match(source).end()
+        pos = len(source) - len(source[offsets[-1]:].lstrip(" \t\r\n"))
         if source.startswith("/*", pos):
             message = "unterminated block comment"
         elif source[pos] in "\"'":
@@ -165,10 +163,6 @@ class _Parser:
         self.depth = list(accumulate(map(_DEPTH.get, self.texts, repeat(0))))
         self.pos = 0
         self.nodes: list[StatementNode | None] = []
-
-    def parse_body(self) -> tuple[tuple[StatementNode, ...], tuple[int, ...]]:
-        roots = tuple(self.parse_statements(None, stop_at_brace=False))
-        return tuple(self.nodes), roots  # type: ignore[arg-type]  # slots filled
 
     # -- token helpers ---------------------------------------------------
 
@@ -362,11 +356,11 @@ def parse_test(source: str, test_name: str = "test", project: str = "") -> TestC
     the grammar subset (``switch``, type declarations, ...).
     """
     parser = _Parser(source)
-    statements, roots = parser.parse_body()
+    roots = tuple(parser.parse_statements(None, stop_at_brace=False))
     return TestCaseAst(
         test_name=test_name,
         source=source,
-        statements=statements,
+        statements=tuple(parser.nodes),  # type: ignore[arg-type]  # slots filled
         roots=roots,
         project=project,
     )

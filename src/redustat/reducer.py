@@ -29,11 +29,12 @@ A sweep keeps the retained ids in one mutable set, ``kept``. Each candidate
 is a read-only view of that set minus the attempted subtree, and an accepted
 candidate is committed by removing the subtree in place, so the reducer's
 bookkeeping per candidate costs the size of the subtree, not of the test.
-``kept`` shrinks only through these commits. The oracle's subset query
-``candidate >= fs`` on a frozenset ``fs`` therefore costs the subtree's size
-too: the sweep remembers whether each such ``fs`` lies within ``kept``, a
-False answer holds for the rest of the sweep, and a True one until a commit
-removes one of ``fs``'s members.
+A view implements ``in``, ``len``, iteration and the memoised ``>=`` itself.
+Every other ``Set`` operation (``&``, ``isdisjoint``, ``<=``, ``==``) comes
+from ``collections.abc.Set`` at the cost of its other operand. ``kept``
+shrinks only through commits, so the memo of ``candidate >= fs`` for a
+frozenset ``fs`` holds for the sweep: False stays False, and True stays True
+until a commit removes one of ``fs``'s members.
 
 Invalid verdicts (non-compiling candidates, timeouts) count as "not failing":
 the statement is kept, the standard treatment of unresolved outcomes in
@@ -43,7 +44,7 @@ delta debugging.
 from __future__ import annotations
 
 import time
-from collections.abc import Iterable, Set
+from collections.abc import Set
 from dataclasses import dataclass
 from itertools import combinations
 from typing import NamedTuple
@@ -114,9 +115,10 @@ class _Candidate(Set):
     """Read-only view of ``kept - dropped``, one candidate's retained ids.
 
     ``kept`` is the sweep's live retained set and ``dropped`` the attempted
-    subtree's ids within it, so building a candidate and testing it against
-    a small set cost the subtree's size. The view is valid until ``kept``
-    changes; anything that outlives the call needs ``frozenset(view)``.
+    subtree's ids within it; the view is valid until ``kept`` changes. It
+    implements ``in``, ``len``, iteration and the memoised ``>=`` itself.
+    Every other ``Set`` operation (``&``, ``isdisjoint``, ``<=``, ``==``)
+    comes from ``collections.abc.Set`` at the cost of its other operand.
 
     ``within`` is shared by the candidates of one sweep: it maps each
     frozenset that a candidate was compared with to whether it lies within
@@ -157,14 +159,7 @@ class _Candidate(Set):
             inside = self.within[other] = other <= self.kept
         return inside
 
-    def __and__(self, other: object) -> frozenset[int]:
-        if not isinstance(other, (frozenset, Iterable)):
-            return NotImplemented
-        return frozenset(other).intersection(self.kept).difference(self.dropped)
-
-    __rand__ = __and__
-
-    def __hash__(self) -> int:
+    def __hash__(self) -> int:  # ``Set`` defines ``__eq__``, so its ``__hash__`` is None
         return hash(frozenset(self.kept - self.dropped))
 
 

@@ -468,6 +468,20 @@ def test_unknown_oracle_mode_is_an_entry_error(tmp_path):
                                               "unknown oracle mode 'bogus'")
 
 
+@pytest.mark.parametrize("spec", [None, "scripted", [1, 2]],
+                         ids=["null", "string", "list"])
+def test_oracle_that_is_not_an_object_is_an_entry_error(tmp_path, spec):
+    entries = [
+        entry("good", "a();\nb();\n", [[1]], tmp_path),
+        entry("bad", "c();\nd();\n", [[1]], tmp_path),
+    ]
+    entries[1]["oracle"] = spec
+    bundle = run_corpus(load_corpus_config(write_corpus(tmp_path, entries)))
+    assert [s.ok for s in bundle.entry_statuses] == [True, False]
+    assert bundle.entry_statuses[1].error == ("CorpusConfigError: entry 'bad': "
+                                              "oracle must be an object")
+
+
 @pytest.mark.parametrize("setting, message", [
     ({"signature_pattern": "("}, "signature_pattern is not a regular expression"),
     ({"fail_exit_codes": [0, 1]}, "fail_exit_codes cannot hold 0, which means Pass"),

@@ -312,7 +312,9 @@ def _first_error(source):
 
     Outside comments and literals, a character of those fragments either
     belongs to some token or is a backslash, left over where a literal's
-    quotes were paired differently than in its fragment.
+    quotes were paired differently than in its fragment. The examples below
+    add a vertical tab and a form feed, which start no token and are not
+    whitespace.
     """
     pos = 0
     while pos < len(source):
@@ -331,8 +333,8 @@ def _first_error(source):
             if scan >= len(source) or source[scan] != quote:
                 return _at("unterminated literal", source, pos)
             pos = scan + 1
-        elif source[pos] == "\\":
-            return _at("unexpected character '\\\\'", source, pos)
+        elif source[pos] in "\\\x0b\x0c":
+            return _at(f"unexpected character {source[pos]!r}", source, pos)
         else:
             pos += 1
     return None
@@ -350,6 +352,15 @@ def _at(message, source, pos):
 # it, that quote closes early and leaves the second literal's backslash.
 @example(parts=[("", "/"), ("", "/"), ("", "\"a\\\nb\"")], tail="")
 @example(parts=[("", "/"), ("", "/"), ("", "\"a\\\nb\""), ("", "\"a\\\nb\"")], tail="")
+# A run of whitespace before a bad character, after a token and after a line
+# comment: the error lies past the run.
+@example(parts=[("", "x"), (" ", "\\")], tail="")
+@example(parts=[("", "x"), ("\t", "\x0b")], tail="")
+@example(parts=[("", "x"), ("\r\n", "\x0c")], tail="")
+@example(parts=[("", "// note\n"), (" ", "\x0c")], tail="")
+@example(parts=[("", "// note\n"), ("\t", "\\")], tail="")
+@example(parts=[("", "// note\n"), ("\r\n", "\x0b")], tail="")
+@example(parts=[("", "x"), ("  ", "/* never closed")], tail="")
 def test_tokens_cover_the_source_between_skipped_gaps(parts, tail):
     source = "".join(sep + fragment for sep, fragment in parts) + tail
     expected_error = _first_error(source)

@@ -501,6 +501,30 @@ def test_subset_memo_agrees_with_frozensets_across_commits(retained, failure_set
             assert kept == expected
 
 
+@settings(max_examples=300, deadline=None)
+@given(st.frozensets(_IDS, min_size=1),
+       st.lists(st.frozensets(_IDS, min_size=1, max_size=6), min_size=1, max_size=4),
+       st.data())
+def test_blocker_rule_on_views_agrees_with_frozensets_across_commits(
+        retained, failure_sets, data):
+    # Blockers are drawn from the retained ids and one id no test retains,
+    # so that all, some and none of them are kept as commits go on.
+    blockers = data.draw(st.frozensets(st.sampled_from(sorted(retained | {31})),
+                                       max_size=4))
+    oracle = ScriptedOracle(tuple(failure_sets), blockers)
+    kept, within = set(retained), {}
+    for _ in range(data.draw(st.integers(1, 12))):
+        if not kept:
+            break
+        dropped = data.draw(st.frozensets(st.sampled_from(sorted(kept)), min_size=1))
+        expected = frozenset(kept - dropped)
+        some_not_all = 0 < len(expected & blockers) < len(blockers)
+        literal = not some_not_all and any(expected >= fs for fs in failure_sets)
+        assert oracle.fails(_Candidate(kept, dropped, within)) == literal
+        if data.draw(st.booleans()):
+            reducer._commit(kept, within, dropped)
+
+
 def _every_other_leaf_test():
     """About 1 000 statements nested up to four deep; the failure needs every
     other leaf, 440 of them."""
