@@ -38,7 +38,6 @@ from .reducer import (
 from .metrics import (
     CountMismatchError,
     EmptyCorpusError,
-    MetricsRecord,
     aggregate_means,
     compute_metrics,
     metrics_from_reduction,

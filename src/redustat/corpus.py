@@ -44,11 +44,11 @@ from __future__ import annotations
 import json
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 from .ingest import ingest_tree
-from .metrics import EmptyCorpusError, MetricsRecord, metrics_from_reduction
+from .metrics import EmptyCorpusError, metrics_from_reduction
 from .model import TestCaseAst
 from .oracle import MatchPolicy, Oracle, OracleConfig, ScriptedOracle
 from .parser import parse_test
@@ -142,7 +142,7 @@ class CorpusConfig:
                 continue
             workdir = spec.get("workdir", OracleConfig.workdir)
             if not isinstance(workdir, str):
-                continue  # the entry fails on its own when it is built
+                continue  # OracleConfig refuses it before any command runs
             workdir = os.path.realpath(workdir)
             if workdir in owners:
                 raise CorpusConfigError(
@@ -216,7 +216,7 @@ def load_corpus_config(path: str | Path) -> CorpusConfig:
 @dataclass
 class _EntryResult:
     status: EntryStatus
-    record: MetricsRecord | None = None
+    record: dict | None = None
     report: dict | None = None
 
 
@@ -224,10 +224,10 @@ def _run_entry(entry: CorpusEntry, policy: MatchPolicy) -> _EntryResult:
     try:
         ast = entry.load_ast()
         outcome = reduce_test(ast, entry.build_oracle(policy))
-        # Rows are keyed by the entry, like the reports: two tree documents
-        # may carry one test_name.
-        record = replace(metrics_from_reduction(ast, outcome),
-                         test_name=entry.name, project=entry.project)
+        # The row's test and project cells are the entry's, as is its
+        # report's file name: two tree documents may carry one test_name.
+        record = {**metrics_from_reduction(ast, outcome),
+                  "test": entry.name, "project": entry.project}
         return _EntryResult(EntryStatus(entry.name, True), record,
                             outcome.to_report())
     except Exception as exc:

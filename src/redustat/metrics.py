@@ -20,8 +20,11 @@ two removal probabilities use their own category count and are stored as
 ``None`` (never 0 or NaN) when that count is zero, so exclusion from
 downstream statistics is explicit.
 
-Fractions are kept at full precision and rendered only at report time, as
-percentages with two decimals, round-half-up.
+A record is the row ``metrics.csv`` holds, as a dict keyed by
+``CSV_COLUMNS`` in that order: the ``test`` and ``project`` strings, the
+counts as ints, and the fractions as floats. Fractions are kept at full
+precision and rendered only at report time, as percentages with two
+decimals, round-half-up.
 
 A corpus's mean row is a dict keyed in ``means.csv`` column order: ``n``, the
 mean of each numeric column, ``prntrs_excluded`` and ``prtrs_excluded``.
@@ -32,7 +35,6 @@ from __future__ import annotations
 import csv
 import io
 import math
-from dataclasses import dataclass
 from decimal import Decimal, ROUND_HALF_UP
 from typing import Sequence
 
@@ -67,25 +69,8 @@ NUMBER_COLUMNS = CSV_COLUMNS[2:]
 _PROBABILITIES = {"prntrs": ("antrs", "ntn"), "prtrs": ("atrs", "tn")}
 
 
-@dataclass(frozen=True)
-class MetricsRecord:
-    test_name: str
-    project: str
-    stmts: int
-    ntn: int
-    tn: int
-    ars: int
-    prs: float
-    antrs: int
-    pntrs: float
-    atrs: int
-    ptrs: float
-    prntrs: float | None
-    prtrs: float | None
-
-
 def compute_metrics(counts: tuple[int, int, int], removal: tuple[int, int],
-                    test_name: str = "", project: str = "") -> MetricsRecord:
+                    test_name: str = "", project: str = "") -> dict:
     """Build a record from category totals and per-category removal counts.
 
     ``counts`` is ``(stmts, ntn, tn)``; ``removal`` is ``(antrs, atrs)``.
@@ -101,25 +86,25 @@ def compute_metrics(counts: tuple[int, int, int], removal: tuple[int, int],
     if not 0 <= atrs <= tn:
         raise CountMismatchError(f"atrs={atrs} outside [0, tn={tn}]")
     ars = antrs + atrs
-    return MetricsRecord(
-        test_name=test_name,
-        project=project,
-        stmts=stmts,
-        ntn=ntn,
-        tn=tn,
-        ars=ars,
-        prs=ars / stmts if stmts else 0.0,
-        antrs=antrs,
-        pntrs=antrs / stmts if stmts else 0.0,
-        atrs=atrs,
-        ptrs=atrs / stmts if stmts else 0.0,
-        prntrs=antrs / ntn if ntn else None,
-        prtrs=atrs / tn if tn else None,
-    )
+    return {
+        "test": test_name,
+        "project": project,
+        "stmts": stmts,
+        "ntn": ntn,
+        "tn": tn,
+        "ars": ars,
+        "prs": ars / stmts if stmts else 0.0,
+        "antrs": antrs,
+        "pntrs": antrs / stmts if stmts else 0.0,
+        "atrs": atrs,
+        "ptrs": atrs / stmts if stmts else 0.0,
+        "prntrs": antrs / ntn if ntn else None,
+        "prtrs": atrs / tn if tn else None,
+    }
 
 
 def metrics_from_reduction(ast: TestCaseAst,
-                           outcome: ReductionOutcome) -> MetricsRecord:
+                           outcome: ReductionOutcome) -> dict:
     """Record for one finished reduction."""
     return compute_metrics(
         count_categories(ast),
@@ -129,7 +114,7 @@ def metrics_from_reduction(ast: TestCaseAst,
     )
 
 
-def aggregate_means(records: Sequence[MetricsRecord]) -> dict:
+def aggregate_means(records: Sequence[dict]) -> dict:
     """The mean row, keyed in ``means.csv`` order: ``n``, the mean of each of
     ``NUMBER_COLUMNS`` (a probability over the records that define it, ``None``
     if none does), then the records each probability mean left out."""
@@ -137,7 +122,7 @@ def aggregate_means(records: Sequence[MetricsRecord]) -> dict:
         raise EmptyCorpusError("cannot aggregate an empty corpus")
     n = len(records)
     defined = {column: [value for record in records
-                        if (value := getattr(record, column)) is not None]
+                        if (value := record[column]) is not None]
                for column in NUMBER_COLUMNS}
     return {
         "n": n,
@@ -148,13 +133,13 @@ def aggregate_means(records: Sequence[MetricsRecord]) -> dict:
     }
 
 
-def percent_samples(records: Sequence[MetricsRecord],
+def percent_samples(records: Sequence[dict],
                     columns: Sequence[str]) -> list[list[float]]:
     """One sample per column, over the records where every one of ``columns``
     is defined, with percent columns in percent units as the tables print
     them, so the statistical tests see the ties the tables show."""
     rows = [row for record in records
-            if None not in (row := [getattr(record, column) for column in columns])]
+            if None not in (row := [record[column] for column in columns])]
     return [[row[i] * 100.0 if column in PERCENT_COLUMNS else row[i] for row in rows]
             for i, column in enumerate(columns)]
 
@@ -174,16 +159,13 @@ def format_percent(fraction: float | None) -> str:
     return f"{quantized:.2f}"
 
 
-def record_to_row(record: MetricsRecord) -> list[str]:
+def record_to_row(record: dict) -> list[str]:
     """Cells in ``CSV_COLUMNS`` order: fractions as percentages."""
-    row = [record.test_name, record.project]
-    for column in NUMBER_COLUMNS:
-        value = getattr(record, column)
-        row.append(format_percent(value) if column in PERCENT_COLUMNS else str(value))
-    return row
+    return [format_percent(record[column]) if column in PERCENT_COLUMNS
+            else str(record[column]) for column in CSV_COLUMNS]
 
 
-def records_to_csv(records: Sequence[MetricsRecord]) -> str:
+def records_to_csv(records: Sequence[dict]) -> str:
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
     writer.writerow(CSV_COLUMNS)
@@ -192,7 +174,7 @@ def records_to_csv(records: Sequence[MetricsRecord]) -> str:
     return buffer.getvalue()
 
 
-def read_records_csv(text: str) -> list[MetricsRecord]:
+def read_records_csv(text: str) -> list[dict]:
     """Load metrics records from CSV text.
 
     Fixture rows are carried verbatim, without cross-column consistency
@@ -216,22 +198,21 @@ def read_records_csv(text: str) -> list[MetricsRecord]:
         if len(row) != len(CSV_COLUMNS):
             raise CsvSchemaError(f"line {line_no}: expected "
                                  f"{len(CSV_COLUMNS)} cells, found {len(row)}")
-        cells = dict(zip(CSV_COLUMNS, row))
-        values = {}
+        record = dict(zip(CSV_COLUMNS, row))
         try:
             for column in PERCENT_COLUMNS:
-                value = parse_cell(cells[column])
+                value = parse_cell(record[column])
                 value = None if value is None else value / 100.0
-                values[column] = value if column in _PROBABILITIES else value or 0.0
+                record[column] = value if column in _PROBABILITIES else value or 0.0
             for column in NUMBER_COLUMNS:
                 if column not in PERCENT_COLUMNS:
-                    values[column] = int(cells[column])
+                    record[column] = int(record[column])
         except ValueError as exc:
             raise CsvSchemaError(f"line {line_no}: {exc}") from None
         for column, (removed, total) in _PROBABILITIES.items():
-            if values[column] is None and values[total] > 0:
-                values[column] = values[removed] / values[total]
-        records.append(MetricsRecord(cells["test"], cells["project"], **values))
+            if record[column] is None and record[total] > 0:
+                record[column] = record[removed] / record[total]
+        records.append(record)
     return records
 
 

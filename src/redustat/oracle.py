@@ -28,7 +28,9 @@ as "not failing". Settings that no run could honour are refused with
 ``ValueError`` when the :class:`OracleConfig` is built, before any command
 runs: a ``signature_pattern`` that is not a regular expression, a
 ``command_template`` that is not a string, that shlex cannot split or that
-names no command, and a 0 in ``fail_exit_codes`` (exit 0 is always Pass).
+names no command, a ``workdir`` that is not a string, a ``timeout_ms`` that is
+not a positive ``int``, and a ``fail_exit_codes`` member that is not an
+``int`` or is 0 (exit 0 is always Pass). A ``bool`` is no ``int`` here.
 
 Verdict evaluation blocks. Distinct oracle instances may run concurrently in
 different working directories, but one OracleConfig must not be invoked
@@ -140,8 +142,11 @@ class OracleConfig:
     match_policy: MatchPolicy = MatchPolicy.SAME_SIGNATURE
 
     def __post_init__(self) -> None:
-        if self.timeout_ms <= 0:
-            raise ValueError("timeout_ms must be positive")
+        if not isinstance(self.workdir, str):
+            raise ValueError("workdir must be a string")
+        # A bool is an int, but true is no timeout.
+        if type(self.timeout_ms) is not int or self.timeout_ms <= 0:
+            raise ValueError("timeout_ms must be a positive integer")
         if self.match_policy is MatchPolicy.SAME_SIGNATURE and not self.signature_pattern:
             raise ValueError("signature_pattern is required under the "
                              "SameSignature policy")
@@ -160,6 +165,9 @@ class OracleConfig:
             raise ValueError(f"command_template cannot be split: {exc}") from None
         if not words:
             raise ValueError("command_template names no command")
+        # "1" or true never equals a return code: every failure would be Invalid.
+        if any(type(code) is not int for code in self.fail_exit_codes):
+            raise ValueError("fail_exit_codes must hold integers")
         if 0 in self.fail_exit_codes:
             raise ValueError("fail_exit_codes cannot hold 0, which means Pass")
 

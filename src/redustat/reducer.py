@@ -52,7 +52,6 @@ from typing import NamedTuple
 from .model import TestCaseAst, render
 from .oracle import (
     Oracle,
-    OracleVerdict,
     VerdictStatus,
     baseline_signature,
     evaluate,
@@ -173,24 +172,6 @@ def _commit(kept: set[int], within: dict[frozenset[int], bool],
             within[other] = False
 
 
-class _Session:
-    """Shared state for one reduction: oracle plumbing, the trace, and the
-    ``settled`` ids, whose last rejection judged the candidate that removing
-    them would give now."""
-
-    def __init__(self, ast: TestCaseAst, oracle: Oracle, baseline: str):
-        self.ast = ast
-        self.oracle = oracle
-        self.baseline = baseline
-        self.policy = oracle.match_policy
-        self.trace: list[TraceEntry] = []
-        self.settled: set[int] = set()
-
-    def accepts(self, retained: Set[int]) -> tuple[bool, OracleVerdict]:
-        verdict = evaluate(self.oracle, retained, self.ast)
-        return verdict_accepted(verdict, self.baseline, self.policy), verdict
-
-
 def _sweep_order(ast: TestCaseAst) -> list[int]:
     """Trees before leaves. Trees by descending span end, so outer before
     inner and later before earlier: an accepted outer tree wastes no call on
@@ -204,11 +185,13 @@ def _sweep_order(ast: TestCaseAst) -> list[int]:
     return by_end + [i for i in by_start if i not in trees]
 
 
-def _sweep(session: _Session, order: list[int],
-           retained: frozenset[int]) -> tuple[frozenset[int], bool]:
-    ast = session.ast
+def _sweep(ast: TestCaseAst, oracle: Oracle, baseline: str, order: list[int],
+           retained: frozenset[int], settled: set[int],
+           trace: list[TraceEntry]) -> tuple[frozenset[int], bool]:
+    """One pass over ``order``. ``settled`` holds the ids whose last rejection
+    judged the candidate that removing them would give now; it and ``trace``
+    carry over from pass to pass."""
     statements = ast.statements
-    settled = session.settled
     kept = set(retained)
     within: dict[frozenset[int], bool] = {}
     changed = False
@@ -216,8 +199,9 @@ def _sweep(session: _Session, order: list[int],
         if node_id not in kept or node_id in settled:
             continue  # removed already, or rejected on this very candidate
         candidate = _Candidate(kept, ast.subtree_ids(node_id) & kept, within)
-        ok, verdict = session.accepts(candidate)
-        session.trace.append(TraceEntry(node_id, ok, verdict.status))
+        verdict = evaluate(oracle, candidate, ast)
+        ok = verdict_accepted(verdict, baseline, oracle.match_policy)
+        trace.append(TraceEntry(node_id, ok, verdict.status))
         if ok:
             _commit(kept, within, candidate.dropped)
             if settled:
@@ -244,14 +228,15 @@ def reduce_test(ast: TestCaseAst, oracle: Oracle) -> ReductionOutcome:
     """
     started = time.monotonic()
     baseline = baseline_signature(oracle, ast)
-    session = _Session(ast, oracle, baseline)
-
     order = _sweep_order(ast)
     retained = ast.all_ids()
+    settled: set[int] = set()
+    trace: list[TraceEntry] = []
     passes = 0
     while True:
         passes += 1
-        retained, changed = _sweep(session, order, retained)
+        retained, changed = _sweep(ast, oracle, baseline, order, retained,
+                                   settled, trace)
         if not changed:
             break
 
@@ -263,12 +248,12 @@ def reduce_test(ast: TestCaseAst, oracle: Oracle) -> ReductionOutcome:
         removed=removed,
         removed_ntn=len(removed) - removed_tn,
         removed_tn=removed_tn,
-        oracle_calls=1 + len(session.trace),  # the baseline, then one per candidate
+        oracle_calls=1 + len(trace),  # the baseline, then one per candidate
         wall_time_ms=(time.monotonic() - started) * 1000.0,
         minimal_source=render(ast, retained),
         baseline=baseline,
         passes=passes,
-        trace=tuple(session.trace),
+        trace=tuple(trace),
     )
 
 
@@ -278,12 +263,11 @@ def verify_one_minimal(ast: TestCaseAst, oracle: Oracle,
     """Post-hoc 1-minimality check: every single-subtree removal must not fail."""
     if baseline is None:
         baseline = baseline_signature(oracle, ast)
-    session = _Session(ast, oracle, baseline)
     within: dict[frozenset[int], bool] = {}  # ``retained`` never changes
     for node_id in retained:
         dropped = ast.subtree_ids(node_id) & retained
-        ok, _ = session.accepts(_Candidate(retained, dropped, within))
-        if ok:
+        verdict = evaluate(oracle, _Candidate(retained, dropped, within), ast)
+        if verdict_accepted(verdict, baseline, oracle.match_policy):
             return False
     return True
 
@@ -305,15 +289,14 @@ def brute_force_minimal(ast: TestCaseAst, oracle: Oracle) -> frozenset[int]:
         raise TooLargeError(
             f"{n} statements exceed the exhaustive bound of {BRUTE_FORCE_BOUND}")
     baseline = baseline_signature(oracle, ast)
-    session = _Session(ast, oracle, baseline)
     ids = list(range(n))
     for size in range(n + 1):
         for combo in combinations(ids, size):
             subset = frozenset(combo)
             if not ast.is_ancestor_closed(subset):
                 continue
-            ok, _ = session.accepts(subset)
-            if ok:
+            verdict = evaluate(oracle, subset, ast)
+            if verdict_accepted(verdict, baseline, oracle.match_policy):
                 return subset
     # The full set fails by precondition, so this is unreachable.
     raise AssertionError("no failing subset found despite failing baseline")

@@ -30,7 +30,6 @@ from pathlib import Path
 from typing import Callable, Sequence
 
 from .metrics import (
-    MetricsRecord,
     PERCENT_COLUMNS,
     aggregate_means,
     percent_samples,
@@ -84,7 +83,7 @@ def five_number_summary(values: Sequence[float]) -> dict:
             "max": max(values), "outliers": outliers}
 
 
-def boxplot_table(records: Sequence[MetricsRecord]) -> dict[str, dict]:
+def boxplot_table(records: Sequence[dict]) -> dict[str, dict]:
     """``boxplot.json``: five-number summaries per metric column, in percent.
 
     Undefined probability cells are excluded from their column, matching the
@@ -134,7 +133,7 @@ def _claim_line(number: int, description: str, comparison: str,
             f"({finding} between {comparison}: V={v:g}, p={p:.4g})")
 
 
-def stats_block(records: Sequence[MetricsRecord]) -> dict:
+def stats_block(records: Sequence[dict]) -> dict:
     """Shapiro-Wilk per column, the two paired Wilcoxon tests, claim lines.
 
     All columns are fed to the tests in percent units, as printed in the
@@ -185,7 +184,7 @@ class EntryStatus:
 @dataclass
 class ReportBundle:
     corpus_name: str
-    records: list[MetricsRecord]
+    records: list[dict]
     means: dict
     stats: dict
     boxplot: dict[str, dict]
@@ -235,7 +234,7 @@ class ReportBundle:
         return out
 
 
-def assemble_bundle(corpus_name: str, records: Sequence[MetricsRecord],
+def assemble_bundle(corpus_name: str, records: Sequence[dict],
                     provenance_source: str,
                     entry_statuses: Sequence[EntryStatus] = (),
                     reduction_reports: Sequence[dict] = ()) -> ReportBundle:

@@ -14,7 +14,7 @@ from pathlib import Path
 
 import pytest
 
-from redustat.metrics import MetricsRecord, parse_cell
+from redustat.metrics import parse_cell
 from redustat.model import TestCaseAst
 from redustat.parser import parse_test, tokenize
 
@@ -111,7 +111,7 @@ def ancestor_closure(ast: TestCaseAst, ids: Iterable[int]) -> frozenset[int]:
     return frozenset(closed)
 
 
-def derive_probability_table(records: list[MetricsRecord]) -> list[tuple[str, float, float]]:
+def derive_probability_table(records: list[dict]) -> list[tuple[str, float, float]]:
     """Rows ``(test, prntrs, prtrs)`` where both probabilities are defined.
 
     This is the exclusion rule behind the published probability tables:
@@ -119,9 +119,9 @@ def derive_probability_table(records: list[MetricsRecord]) -> list[tuple[str, fl
     cannot participate in the comparison.
     """
     return [
-        (r.test_name, r.prntrs, r.prtrs)
+        (r["test"], r["prntrs"], r["prtrs"])
         for r in records
-        if r.prntrs is not None and r.prtrs is not None
+        if r["prntrs"] is not None and r["prtrs"] is not None
     ]
 
 

@@ -75,8 +75,8 @@ def test_criterion_3_wilcoxon_pntrs_vs_ptrs():
         ("II", 465.0, 1.6e-06, 2.0e-06),
     ):
         records = replicate_from_fixtures(table).records
-        result = wilcoxon_signed_rank([r.pntrs * 100 for r in records],
-                                      [r.ptrs * 100 for r in records])
+        result = wilcoxon_signed_rank([r["pntrs"] * 100 for r in records],
+                                      [r["ptrs"] * 100 for r in records])
         results.append((table, result))
     ok = all(
         r.statistic == v and lo <= r.p_value <= hi
@@ -127,7 +127,7 @@ def test_criterion_5_probability_exclusion_rule():
 
 def test_criterion_6_shapiro_wilk():
     records = replicate_from_fixtures("I").records
-    ptrs = shapiro_wilk([r.ptrs * 100 for r in records])
+    ptrs = shapiro_wilk([r["ptrs"] * 100 for r in records])
     pinned = shapiro_wilk([1, 2, 3, 4, 5, 6, 7, 8, 9, 10])
     w_ref, p_ref = 0.970164611085606, 0.892367306190298
     ok = (ptrs.p_value < 0.05

@@ -15,7 +15,7 @@ from redustat.corpus import (
     load_corpus_config,
     run_corpus,
 )
-from redustat.metrics import EmptyCorpusError
+from redustat.metrics import CSV_COLUMNS, EmptyCorpusError
 from redustat.reducer import reduce_test
 
 REPO = Path(__file__).resolve().parent.parent
@@ -59,10 +59,10 @@ def test_small_corpus_end_to_end(tmp_path):
     config = load_corpus_config(write_corpus(tmp_path, entries))
     bundle = run_corpus(config)
     assert [s.ok for s in bundle.entry_statuses] == [True, True, True]
-    by_name = {r.test_name: r for r in bundle.records}
-    assert by_name["one"].ars == 2 and by_name["one"].stmts == 3
-    assert by_name["two"].stmts == 4 and by_name["two"].atrs == 0
-    assert by_name["two"].ars == 2  # ancestor if stays, x and y removed
+    by_name = {r["test"]: r for r in bundle.records}
+    assert by_name["one"]["ars"] == 2 and by_name["one"]["stmts"] == 3
+    assert by_name["two"]["stmts"] == 4 and by_name["two"]["atrs"] == 0
+    assert by_name["two"]["ars"] == 2  # ancestor if stays, x and y removed
     out = tmp_path / "out"
     assert (out / "metrics.csv").exists()
     assert (out / "reductions" / "two.json").exists()
@@ -114,7 +114,7 @@ def test_entry_failures_are_isolated(tmp_path):
     assert "OriginalDoesNotFail" in status["never-fails"].error
     assert not status["bad-syntax"].ok
     assert bundle.entry_errors == 2
-    assert [r.test_name for r in bundle.records] == ["good"]
+    assert [r["test"] for r in bundle.records] == ["good"]
 
 
 def test_empty_corpus_is_an_error(tmp_path):
@@ -260,6 +260,22 @@ def test_parallel_command_entries_must_not_share_a_workdir(tmp_path, first, seco
     assert len(load_corpus_config(write_corpus(tmp_path, entries)).entries) == 3
 
 
+def test_parallel_command_entries_without_a_workdir_string_are_entry_errors(tmp_path):
+    # A null workdir is no directory the shared-workdir check can compare,
+    # so OracleConfig refuses it before either command runs together.
+    marker = tmp_path / "oracle-ran"
+    touch = f"touch {shlex.quote(str(marker))}"
+    entries = [entry("scripted", "a();\n", [[0]], tmp_path),
+               command_entry("one", tmp_path, workdir=None, command_template=touch),
+               command_entry("two", tmp_path, workdir=None, command_template=touch)]
+    config = load_corpus_config(write_corpus(tmp_path, entries, parallelism=2))
+    bundle = run_corpus(config)
+    assert [s.ok for s in bundle.entry_statuses] == [True, False, False]
+    for status in bundle.entry_statuses[1:]:
+        assert status.error == "ValueError: workdir must be a string"
+    assert not marker.exists()
+
+
 def test_parallel_command_entries_with_own_workdirs_are_accepted(tmp_path):
     for name in ("w1", "w2"):
         (tmp_path / name).mkdir()
@@ -315,7 +331,7 @@ def test_parallel_run_equals_serial_run(tmp_path):
     entries = _growing_entries(tmp_path, 8)
     entries.insert(3, dict(entries[0], name="missing", test_file="tests/missing.java"))
     serial = run_corpus(load_corpus_config(write_corpus(tmp_path, entries)))
-    assert [r.test_name for r in serial.records] == [f"t{i}" for i in range(8)]
+    assert [r["test"] for r in serial.records] == [f"t{i}" for i in range(8)]
     missing = serial.entry_statuses[3]
     assert missing.name == "missing" and not missing.ok
     assert missing.error.startswith("FileNotFoundError: ")
@@ -382,7 +398,7 @@ def test_tree_document_entries_are_supported(tmp_path):
     }]
     config = load_corpus_config(write_corpus(tmp_path, entries))
     bundle = run_corpus(config)
-    assert bundle.records[0].ars == 1
+    assert bundle.records[0]["ars"] == 1
 
 
 def test_reports_of_documents_with_one_test_name_do_not_collide(tmp_path):
@@ -576,7 +592,7 @@ def test_command_oracle_entries_run_in_scratch_dirs(tmp_path, monkeypatch):
 
     bundle = run_corpus(config)
     assert bundle.entry_errors == 0
-    assert bundle.records[0].ars == 2
+    assert bundle.records[0]["ars"] == 2
     assert list(scratch.iterdir()) == []
 
 
@@ -598,12 +614,13 @@ def test_corpus_records_match_reduction_reports(tmp_path):
     config = load_corpus_config(SYNTHETIC / "corpus.json")
     config.output_dir = tmp_path / "out"
     bundle = run_corpus(config)
-    by_name = {r.test_name: r for r in bundle.records}
+    assert all(list(record) == list(CSV_COLUMNS) for record in bundle.records)
+    by_name = {r["test"]: r for r in bundle.records}
     for report in bundle.reduction_reports:
         record = by_name[report["test_name"]]
-        assert record.ars == len(report["removed"])
-        assert record.antrs == report["removed_ntn"]
-        assert record.atrs == report["removed_tn"]
+        assert record["ars"] == len(report["removed"])
+        assert record["antrs"] == report["removed_ntn"]
+        assert record["atrs"] == report["removed_tn"]
 
 
 #: Oracle calls per entry of the shipped synthetic corpus, t01 to t30,

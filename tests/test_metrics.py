@@ -21,34 +21,34 @@ from redustat.reducer import reduce_test
 
 def test_leaf_only_test_has_no_tree_probability():
     record = compute_metrics((13, 13, 0), (7, 0))
-    assert record.ars == 7
-    assert abs(record.prs * 100 - 53.84) < 0.01
-    assert abs(record.pntrs * 100 - 53.84) < 0.01
-    assert record.ptrs == 0.0
-    assert record.prtrs is None
+    assert record["ars"] == 7
+    assert abs(record["prs"] * 100 - 53.84) < 0.01
+    assert abs(record["pntrs"] * 100 - 53.84) < 0.01
+    assert record["ptrs"] == 0.0
+    assert record["prtrs"] is None
 
 
 def test_mixed_test_with_full_tree_removal():
     record = compute_metrics((31, 29, 2), (25, 2))
-    assert abs(record.prs * 100 - 87.09) < 0.01
-    assert abs(record.pntrs * 100 - 80.64) < 0.01
-    assert abs(record.ptrs * 100 - 6.45) < 0.01
-    assert abs(record.prntrs * 100 - 86.20) < 0.01
-    assert record.prtrs == 1.0
+    assert abs(record["prs"] * 100 - 87.09) < 0.01
+    assert abs(record["pntrs"] * 100 - 80.64) < 0.01
+    assert abs(record["ptrs"] * 100 - 6.45) < 0.01
+    assert abs(record["prntrs"] * 100 - 86.20) < 0.01
+    assert record["prtrs"] == 1.0
 
 
 def test_nothing_removed():
     record = compute_metrics((9, 9, 0), (0, 0))
-    assert record.ars == 0
-    assert record.prs == record.pntrs == record.ptrs == 0.0
-    assert record.prntrs == 0.0
-    assert record.prtrs is None
+    assert record["ars"] == 0
+    assert record["prs"] == record["pntrs"] == record["ptrs"] == 0.0
+    assert record["prntrs"] == 0.0
+    assert record["prtrs"] is None
 
 
 def test_empty_test_is_all_zero():
     record = compute_metrics((0, 0, 0), (0, 0))
-    assert record.prs == 0.0
-    assert record.prntrs is None and record.prtrs is None
+    assert record["prs"] == 0.0
+    assert record["prntrs"] is None and record["prtrs"] is None
 
 
 def test_count_mismatch_errors():
@@ -72,20 +72,20 @@ def test_metrics_match_recomputation_from_reduction():
         cause = frozenset(rng.sample(ids, rng.randint(1, min(3, len(ids)))))
         outcome = reduce_test(ast, ScriptedOracle(failure_sets=(cause,)))
         record = metrics_from_reduction(ast, outcome)
-        assert record.ars == len(outcome.removed)
-        assert record.antrs == outcome.removed_ntn
-        assert record.atrs == outcome.removed_tn
-        assert record.stmts == ast.total_statements
+        assert record["ars"] == len(outcome.removed)
+        assert record["antrs"] == outcome.removed_ntn
+        assert record["atrs"] == outcome.removed_tn
+        assert record["stmts"] == ast.total_statements
 
 
 def test_single_record_mean_is_identity():
     record = compute_metrics((10, 8, 2), (4, 1), test_name="only")
     means = aggregate_means([record])
     assert means["n"] == 1
-    assert means["stmts"] == record.stmts
-    assert means["prs"] == record.prs
-    assert means["prntrs"] == record.prntrs
-    assert means["prtrs"] == record.prtrs
+    assert means["stmts"] == record["stmts"]
+    assert means["prs"] == record["prs"]
+    assert means["prntrs"] == record["prntrs"]
+    assert means["prtrs"] == record["prtrs"]
     assert means["prtrs_excluded"] == 0
 
 
@@ -93,7 +93,7 @@ def test_mean_excludes_undefined_probabilities():
     defined = compute_metrics((10, 8, 2), (4, 2))
     undefined = compute_metrics((5, 5, 0), (1, 0))
     means = aggregate_means([defined, undefined])
-    assert means["prtrs"] == defined.prtrs  # only one row defines it
+    assert means["prtrs"] == defined["prtrs"]  # only one row defines it
     assert means["prtrs_excluded"] == 1
     assert means["prntrs_excluded"] == 0
 
@@ -143,9 +143,26 @@ def test_csv_round_trip_preserves_rows():
     text = records_to_csv(records)
     assert text.splitlines()[0] == ",".join(CSV_COLUMNS)
     loaded = read_records_csv(text)
-    assert [r.test_name for r in loaded] == ["a", "b"]
-    assert loaded[1].prtrs is None
+    assert [r["test"] for r in loaded] == ["a", "b"]
+    assert loaded[1]["prtrs"] is None
     assert records_to_csv(loaded) == text  # stable on rewrite
+
+
+def test_a_record_is_the_csv_row():
+    # One schema: a record is keyed by CSV_COLUMNS in order, and the shipped
+    # synthetic rows, undefined probabilities included, survive the CSV.
+    from pathlib import Path
+
+    record = compute_metrics((10, 8, 2), (4, 1), test_name="a", project="p")
+    assert list(record) == list(CSV_COLUMNS)
+    assert (record["test"], record["project"]) == ("a", "p")
+    text = (Path(__file__).resolve().parent.parent / "src" / "redustat" / "data"
+            / "synthetic" / "expected_metrics.csv").read_text("utf-8")
+    records = read_records_csv(text)
+    assert len(records) == 30
+    assert all(list(record) == list(CSV_COLUMNS) for record in records)
+    assert any(record["prtrs"] is None for record in records)
+    assert read_records_csv(records_to_csv(records)) == records
 
 
 def test_csv_rejects_wrong_header():
@@ -167,15 +184,15 @@ def test_csv_tolerates_inconsistent_published_rows():
     text = (",".join(CSV_COLUMNS) + "\n"
             + "odd,proj,18,16,2,10,55.55,8,44.44,1,5.55,,\n")
     (record,) = read_records_csv(text)
-    assert record.ars == 10 and record.antrs + record.atrs == 9
+    assert record["ars"] == 10 and record["antrs"] + record["atrs"] == 9
 
 
 def test_derive_probabilities_fills_from_counts():
     text = (",".join(CSV_COLUMNS) + "\n"
             + "t,proj,9,7,2,2,22.22,2,22.22,0,0,,\n")
     (record,) = read_records_csv(text)
-    assert record.prntrs == 2 / 7
-    assert record.prtrs == 0.0
+    assert record["prntrs"] == 2 / 7
+    assert record["prtrs"] == 0.0
 
 
 SUMMARY_HEADER = ("n,stmts,ntn,tn,ars,prs,antrs,pntrs,atrs,ptrs,prntrs,prtrs,"

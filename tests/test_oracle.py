@@ -279,6 +279,27 @@ def test_config_validation():
                      match_policy=MatchPolicy.ANY_FAILURE)
 
 
+@pytest.mark.parametrize("setting, message", [
+    ({"workdir": None}, "workdir must be a string"),
+    ({"workdir": 3}, "workdir must be a string"),
+    ({"timeout_ms": True}, "timeout_ms must be a positive integer"),
+    ({"timeout_ms": 1.5}, "timeout_ms must be a positive integer"),
+    ({"timeout_ms": "100"}, "timeout_ms must be a positive integer"),
+    ({"timeout_ms": 0}, "timeout_ms must be a positive integer"),
+    ({"fail_exit_codes": frozenset({"1"})}, "fail_exit_codes must hold integers"),
+    ({"fail_exit_codes": frozenset({True})}, "fail_exit_codes must hold integers"),
+    ({"fail_exit_codes": frozenset({1.0})}, "fail_exit_codes must hold integers"),
+], ids=["workdir-null", "workdir-int", "timeout-bool", "timeout-float",
+        "timeout-str", "timeout-zero", "exit-code-str", "exit-code-bool",
+        "exit-code-float"])
+def test_config_field_types_are_checked(setting, message):
+    # true would be a 1 ms timeout, and "1" would never equal an exit code,
+    # so every failing run would read as Invalid.
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        OracleConfig(command_template="x", match_policy=MatchPolicy.ANY_FAILURE,
+                     **setting)
+
+
 # -- signature normalization and policy ----------------------------------------
 
 

@@ -28,6 +28,7 @@ from redustat.oracle import (
     ScriptedOracle,
     VerdictStatus,
     evaluate,
+    verdict_accepted,
 )
 from redustat.parser import parse_test
 from redustat.reducer import (
@@ -274,13 +275,13 @@ def start_descending(node):
     return -node.span[0]
 
 
-def frozenset_sweep(session, order, retained, tree_key=end_descending, rejected=None):
+def frozenset_sweep(ast, oracle, baseline, order, retained, settled, trace,
+                    tree_key=end_descending, rejected=None):
     """The reference sweep: every candidate is a new frozenset. Trees go by
     ``tree_key``, leaves by descending span start, ties by id; the reducer's
     ``order`` is not read. ``rejected``, a dict kept for one reduction, maps
     each rejected candidate to its verdict, and a candidate found there is not
-    sent again; without it every candidate is sent."""
-    ast = session.ast
+    sent again; without it every candidate is sent. ``settled`` is not read."""
     tree_ids = [i for i in retained if ast.statements[i].category is Category.TREE]
     leaf_ids = [i for i in retained if ast.statements[i].category is Category.NON_TREE]
     tree_ids.sort(key=lambda i: (tree_key(ast.statements[i]), i))
@@ -292,8 +293,9 @@ def frozenset_sweep(session, order, retained, tree_key=end_descending, rejected=
         attempt = retained - ast.subtree_ids(node_id)
         if rejected is not None and attempt in rejected:
             continue
-        ok, verdict = session.accepts(attempt)
-        session.trace.append(TraceEntry(node_id, ok, verdict.status))
+        verdict = evaluate(oracle, attempt, ast)
+        ok = verdict_accepted(verdict, baseline, oracle.match_policy)
+        trace.append(TraceEntry(node_id, ok, verdict.status))
         if ok:
             retained = attempt
             changed = True

@@ -49,7 +49,7 @@ def test_mutants_ptrs_summary_from_fixture():
     records = replicate_from_fixtures("I").records
     table = boxplot_table(records)
     ptrs = table["ptrs"]
-    values = sorted(r.ptrs * 100 for r in records)
+    values = sorted(r["ptrs"] * 100 for r in records)
     assert ptrs["q1"] == 0.0
     assert ptrs["median"] == pytest.approx((values[14] + values[15]) / 2, abs=1e-12)
     assert ptrs["min"] == 0.0

@@ -22,10 +22,10 @@ from redustat.stats import (
 
 def fixture_columns(table):
     records = replicate_from_fixtures(table).records
-    pntrs = [r.pntrs * 100 for r in records]
-    ptrs = [r.ptrs * 100 for r in records]
-    pairs = [(r.prntrs * 100, r.prtrs * 100) for r in records
-             if r.prntrs is not None and r.prtrs is not None]
+    pntrs = [r["pntrs"] * 100 for r in records]
+    ptrs = [r["ptrs"] * 100 for r in records]
+    pairs = [(r["prntrs"] * 100, r["prtrs"] * 100) for r in records
+             if r["prntrs"] is not None and r["prtrs"] is not None]
     return pntrs, ptrs, pairs
 
 
@@ -194,7 +194,7 @@ def test_pinned_ten_element_fixture():
 
 def test_mutants_ptrs_normality_rejected():
     records = replicate_from_fixtures("I").records
-    result = shapiro_wilk([r.ptrs * 100 for r in records])
+    result = shapiro_wilk([r["ptrs"] * 100 for r in records])
     assert result.p_value < 0.05
 
 

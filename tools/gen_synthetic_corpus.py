@@ -151,7 +151,7 @@ def main() -> None:
         json.dumps(config, indent=2) + "\n", encoding="utf-8")
     (OUT / "expected_metrics.csv").write_text(records_to_csv(records),
                                               encoding="utf-8")
-    stmt_total = sum(r.stmts for r in records)
+    stmt_total = sum(r["stmts"] for r in records)
     print(f"wrote 30 tests ({stmt_total} statements), corpus.json, "
           f"expected_metrics.csv under {OUT}")
 
