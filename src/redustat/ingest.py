@@ -23,7 +23,7 @@ import json
 from operator import itemgetter
 from typing import Any
 
-from .model import StatementNode, StmtKind, TestCaseAst, TREE_KINDS, ModelError
+from .model import StmtKind, TestCaseAst, TREE_KINDS, ModelError, new_node
 
 
 class SchemaError(ValueError):
@@ -151,7 +151,7 @@ def ingest_tree(document: dict | str, project: str = "") -> TestCaseAst:
         message, idx = link_error
         raise SchemaError(message, f"$.nodes[{idx}]")
 
-    statements = tuple(map(StatementNode, range(n), kinds, spans, children_of, parents))
+    statements = tuple(map(new_node, zip(range(n), kinds, spans, children_of, parents)))
     try:
         return TestCaseAst(
             test_name=test_name,

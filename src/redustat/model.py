@@ -22,6 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import partial
 from typing import Iterable, NamedTuple
 
 
@@ -87,9 +88,9 @@ class StatementNode(NamedTuple):
     test's source text. ``children`` holds ids of directly nested statements,
     in source order; it is empty for every non-tree statement.
 
-    A ``NamedTuple``, so it is immutable, hashable, and cheap to build: the
-    front ends build one per statement of every test. It compares equal to
-    the plain tuple of its fields, ``(id, kind, span, children, parent)``.
+    A ``NamedTuple``, so it is immutable and hashable. It compares equal to
+    the plain tuple of its fields, ``(id, kind, span, children, parent)``,
+    and the front ends build it from that tuple with :data:`new_node`.
     """
 
     id: int
@@ -101,6 +102,11 @@ class StatementNode(NamedTuple):
     @property
     def category(self) -> Category:
         return Category.TREE if self.kind in TREE_KINDS else Category.NON_TREE
+
+
+#: ``new_node((id, kind, span, children, parent))`` builds that node in C, not
+#: through the generated Python ``__new__``; it checks neither count nor types.
+new_node = partial(tuple.__new__, StatementNode)
 
 
 @dataclass(frozen=True)

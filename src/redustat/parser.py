@@ -25,9 +25,9 @@ from __future__ import annotations
 import re
 from functools import lru_cache
 from itertools import accumulate, compress, repeat
-from operator import eq, itemgetter
+from operator import eq, not_
 
-from .model import StatementNode, StmtKind, TestCaseAst
+from .model import StatementNode, StmtKind, TestCaseAst, new_node
 
 
 class StatementSyntaxError(ValueError):
@@ -85,19 +85,18 @@ def _numerals(source: str) -> str:
 
 
 @lru_cache(maxsize=16)
-def _pattern(numerals: str) -> re.Pattern:
+def _patterns(numerals: str) -> tuple[re.Pattern, re.Pattern]:
     """The pattern of one piece: whitespace, then a token, a comment or the
-    end of the source, capturing the piece and the token.
-
-    Where no piece starts, the rest of the source is matched uncaptured, so
-    a malformed source is scanned once rather than retried at every later
-    position. A piece fails only where, after whitespace, no token, comment
-    or end of the source starts, so the error lies past that whitespace.
+    end of the source; and the scan: a piece or, where none starts, the rest
+    of the source, so a malformed source is scanned once rather than retried
+    at every later position. Neither captures, so ``findall`` returns the
+    pieces. A piece fails only where, after whitespace, no token, comment or
+    end of the source starts, so the error lies past that whitespace.
     """
     token = (_TOKEN.replace("NUMERALS", re.escape(numerals))
              .replace("DIGITS", re.escape("".join(filter(str.isdigit, numerals)))))
-    return re.compile(rf"([ \t\r\n]*(?:({token})|{_COMMENT}|\Z))|.+",
-                      re.VERBOSE | re.DOTALL)
+    piece = rf"[ \t\r\n]*(?:{token}|{_COMMENT}|\Z)"
+    return tuple(re.compile(text, re.VERBOSE | re.DOTALL) for text in (piece, rf"{piece}|.+"))
 
 
 def tokenize(source: str) -> tuple[list[str], list[int]]:
@@ -107,23 +106,26 @@ def tokenize(source: str) -> tuple[list[str], list[int]]:
     String and character literals become single tokens so that braces or
     semicolons inside them never affect statement boundaries.
     """
-    # A piece that holds a comment or the end of the source captures an
-    # empty token, and the uncaptured rest of a malformed source adds no
-    # length. The pieces cover the source exactly when every character was
-    # consumed; otherwise the last offset is the end of the last piece.
-    found = _pattern(_numerals(source)).findall(source)
-    offsets = list(accumulate(map(len, map(itemgetter(0), found))))
-    if offsets[-1] != len(source):
-        pos = len(source) - len(source[offsets[-1]:].lstrip(" \t\r\n"))
-        if source.startswith("/*", pos):
-            message = "unterminated block comment"
-        elif source[pos] in "\"'":
-            message = "unterminated literal"
-        else:
-            message = f"unexpected character {source[pos]!r}"
+    # A piece's text is the piece without its leading whitespace: a token, a
+    # comment, or empty at the end of the source, where the scan ends with
+    # one or two empty texts. Before them, a piece the piece pattern does not
+    # match at its start is the rest of a malformed source.
+    piece, scan = _patterns(_numerals(source))
+    pieces = scan.findall(source)
+    texts = list(map(str.lstrip, pieces, repeat(" \t\r\n")))
+    ends = list(accumulate(map(len, pieces)))
+    count = texts.index("")
+    del texts[count:], ends[count:]
+    if count and not piece.match(source, ends[-1] - len(pieces[count - 1])):
+        pos = ends[-1] - len(texts[-1])
+        message = ("unterminated block comment" if source.startswith("/*", pos)
+                   else "unterminated literal" if source[pos] in "\"'"
+                   else f"unexpected character {source[pos]!r}")
         raise StatementSyntaxError(message, *_line_column(source, pos))
-    texts = list(map(itemgetter(1), found))
-    return list(filter(None, texts)), list(compress(offsets, texts))
+    if "/" in source:  # a comment's text starts "//" or "/*"; the "/" token is "/"
+        kept = list(map(not_, map(str.startswith, texts, repeat(("//", "/*")))))
+        return list(compress(texts, kept)), list(compress(ends, kept))
+    return texts, ends
 
 
 # -- parsing ---------------------------------------------------------------
@@ -209,13 +211,18 @@ class _Parser:
         A leaf is read here: it ends at the first ';' at the depth its
         siblings start at. Depth counts parentheses, brackets *and* braces,
         so statement lambdas and anonymous-class bodies stay inside one
-        leaf. A closer that takes the depth below that before the ';' is
-        unmatched. Other statements go to :meth:`parse_statement`.
+        leaf. The first closer that takes the depth below that, the dip, is
+        found once (every statement ends back at that depth): a leaf that
+        reaches it is unmatched. Other statements go to :meth:`parse_statement`.
         """
         texts, depth, ends, nodes = self.texts, self.depth, self.ends, self.nodes
         count = len(texts)
         first = self.pos
         base = depth[first - 1] if first else 0
+        try:
+            dip = depth.index(base - 1, first)
+        except ValueError:
+            dip = count
         out = []
         while first < count:
             text = texts[first]
@@ -237,15 +244,13 @@ class _Parser:
                     semi = texts.index(";", semi + 1)
             except ValueError:
                 semi = count
-            if min(depth[first:semi]) < base:
-                unmatched = depth.index(base - 1, first)
-                raise self._error(f"unmatched {texts[unmatched]!r}", unmatched)
+            if dip < semi:
+                raise self._error(f"unmatched {texts[dip]!r}", dip)
             if semi == count:
                 raise self._error("statement not terminated by ';'", first)
             node_id = len(nodes)
-            nodes.append(StatementNode(
-                node_id, _JUMP_KINDS.get(text, StmtKind.EXPRESSION),
-                (ends[first] - len(text), ends[semi]), (), parent))
+            nodes.append(new_node((node_id, _JUMP_KINDS.get(text, StmtKind.EXPRESSION),
+                                   (ends[first] - len(text), ends[semi]), (), parent)))
             out.append(node_id)
             first = semi + 1
         self.pos = first
@@ -317,8 +322,7 @@ class _Parser:
             self._next("while")
             self._skip_parenthesized()
             end = self.ends[self._next(";")]
-        self.nodes[node_id] = StatementNode(
-            node_id, kind, (start, end), tuple(children), parent)
+        self.nodes[node_id] = new_node((node_id, kind, (start, end), tuple(children), parent))
         return node_id
 
     def _for_kind(self, opener: int) -> StmtKind:

@@ -1,4 +1,6 @@
 import importlib.util
+import json
+import subprocess
 from pathlib import Path
 
 _SPEC = importlib.util.spec_from_file_location(
@@ -66,3 +68,32 @@ def test_alternation_continues_across_invocations(tmp_path, monkeypatch):
     assert bench.main(argv) == 0
     assert bench.main(argv) == 0
     assert order == ["parent", "change", "change", "parent"]
+
+
+def test_a_checkout_that_is_not_a_git_work_tree_runs_with_a_marker(tmp_path, monkeypatch):
+    def git(*args):
+        return subprocess.run(["git", "-C", str(tmp_path / "repo"), "-c", "user.name=t",
+                               "-c", "user.email=t@example.com", "-c", "commit.gpgsign=false",
+                               *args], check=True, capture_output=True, text=True).stdout.strip()
+
+    # A work tree with one commit and a changed tracked file, an export
+    # beside it, and an export inside it, which git would take for the work
+    # tree around it.
+    for checkout in ("repo", "export", "repo/export"):
+        (tmp_path / checkout / "benchmark").mkdir(parents=True)
+        (tmp_path / checkout / "benchmark" / "run.py").write_text("")
+    git("init", "-q")
+    git("add", "benchmark/run.py")
+    git("commit", "-q", "-m", "benchmark")
+    (tmp_path / "repo" / "benchmark" / "run.py").write_text("changed\n")
+    monkeypatch.setattr(bench, "run_once", lambda root, workload, seed, trace: {
+        "workload": workload, "seed": seed, "trace": trace, "exit": 0})
+    out = tmp_path / "BENCH.json"
+    argv = [str(out), "--workload", "study", "--trace", "0",
+            "--checkout", f"parent={tmp_path / 'export'}",
+            "--checkout", f"change={tmp_path / 'repo'}",
+            "--checkout", f"inner={tmp_path / 'repo' / 'export'}"]
+    assert bench.main(argv) == 0
+    commits = {run["label"]: run["commit"] for run in json.loads(out.read_text())["runs"]}
+    assert commits == {"parent": bench.NO_COMMIT, "change": git("rev-parse", "HEAD") + "-dirty",
+                       "inner": bench.NO_COMMIT}

@@ -1,11 +1,22 @@
 import importlib.util
 import json
+import shutil
+import sys
 from pathlib import Path
 
-_SPEC = importlib.util.spec_from_file_location(
-    "differential", Path(__file__).resolve().parents[1] / "tools" / "differential.py")
-differential = importlib.util.module_from_spec(_SPEC)
-_SPEC.loader.exec_module(differential)
+_TOOLS = Path(__file__).resolve().parents[1] / "tools"
+
+
+def _load(name):
+    spec = importlib.util.spec_from_file_location(name, _TOOLS / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[name] = module  # parser_fuzz imports differential by name
+    spec.loader.exec_module(module)
+    return module
+
+
+differential = _load("differential")
+parser_fuzz = _load("parser_fuzz")
 
 
 def _output_tree(root: Path, created: str, wall_ms: float) -> Path:
@@ -36,3 +47,34 @@ def test_one_planted_byte_reports_exactly_that_file(tmp_path):
     (new / "synthetic" / "extra.csv").write_text("")
     assert differential.compare(old, new) == ["synthetic/extra.csv",
                                               "synthetic/reductions/t01.json"]
+
+
+def test_parser_fuzz_catches_a_planted_tokenizer_difference(tmp_path):
+    planted = tmp_path / "planted"
+    shutil.copytree(differential.ROOT / "src" / "redustat", planted / "src" / "redustat",
+                    ignore=shutil.ignore_patterns("__pycache__", "data"))
+    count, report = parser_fuzz.differences(differential.ROOT, planted, 3, 400,
+                                            workloads=False)
+    assert (count, report) == (0, [])
+    # Planted: a source holding a tab loses its last token.
+    with (planted / "src" / "redustat" / "parser.py").open("a") as parser:
+        parser.write("\n_tokenize = tokenize\n\n\ndef tokenize(source):\n"
+                     "    texts, ends = _tokenize(source)\n"
+                     "    return (texts[:-1], ends[:-1]) if '\\t' in source else (texts, ends)\n")
+    count, report = parser_fuzz.differences(differential.ROOT, planted, 3, 400,
+                                            workloads=False)
+    assert count > 0 and len(report) == min(count, parser_fuzz.SHOWN)
+    index, _, rest = report[0].partition(" ")[2].partition(" ")
+    source = list(parser_fuzz.generated_inputs(3, 400))[int(index)]
+    assert "\t" in source and ": [0]" in rest
+
+
+def test_parser_fuzz_inputs_depend_on_the_seed_alone():
+    first = list(parser_fuzz.generated_inputs(7, 600))
+    assert first == list(parser_fuzz.generated_inputs(7, 600))
+    assert list(parser_fuzz.generated_inputs(7, 100)) == first[:100]
+    assert first != list(parser_fuzz.generated_inputs(8, 600))
+    text = "".join(first)
+    for needed in ("/*", "//", "²", "½", "٣", "\x0b", "\x00", "#", "\\", "else if",
+                   "catch", "finally", "do", "synchronized", "outer :"):
+        assert needed in text, needed

@@ -240,6 +240,8 @@ PARSE_ERROR_CASES = [
     ("for (;;) x();", ("For body must be a braced block", 1, 10)),
     ("{ a();", ("missing closing '}'", 1, 6)),
     ("lbl: { } x", ("statement not terminated by ';'", 1, 10)),
+    ("a; b) ; c;", ("unmatched ')'", 1, 5)),
+    ("{ a; ] }", ("unmatched ']'", 1, 6)),
 ]
 
 
@@ -280,13 +282,28 @@ TOKEN_CASES = [
     ("x;\n 'a\nb'", ("unterminated literal", 2, 2)),
     ("\"\\", ("unterminated literal", 1, 1)),
     ("x;\n  /* never closed", ("unterminated block comment", 2, 3)),
+    # A comment does not run on to a later "*/" past the bad character.
+    ("a; /* c */ \\ /* d */", ("unexpected character '\\\\'", 1, 12)),
+    ("/* ² */ ½", ("unexpected character '½'", 1, 9)),
+    # No token, or no newline after the last comment; "/" beside comments.
+    ("", []),
+    (" \t\r\n", []),
+    ("x; // end", ["x", ";"]),
+    ("x; /* c */", ["x", ";"]),
+    ("a /**// b", ["a", "/", "b"]),
+    ("a/ /*/ */b", ["a", "/", "b"]),
+    ("/ //c\n/", ["/", "/"]),
+    ("a / /* c */ / b;", ["a", "/", "/", "b", ";"]),
+    ("x² /* ² */ ²5 // ½\n", ["x²", "²5"]),
 ]
 
 
 @pytest.mark.parametrize("source, expected", TOKEN_CASES)
 def test_token_table(source, expected):
     if isinstance(expected, list):
-        assert token_texts(source) == expected
+        texts, ends = tokenize(source)
+        assert texts == expected
+        assert [source[end - len(text):end] for text, end in zip(texts, ends)] == texts
         return
     message, line, column = expected
     with pytest.raises(StatementSyntaxError) as info:
@@ -361,6 +378,10 @@ def _at(message, source, pos):
 @example(parts=[("", "// note\n"), ("\t", "\\")], tail="")
 @example(parts=[("", "// note\n"), ("\r\n", "\x0b")], tail="")
 @example(parts=[("", "x"), ("  ", "/* never closed")], tail="")
+# Nothing, or only whitespace; a comment at the very end.
+@example(parts=[], tail="")
+@example(parts=[], tail="\r\n")
+@example(parts=[("", "x"), (" ", "/* c */")], tail="")
 def test_tokens_cover_the_source_between_skipped_gaps(parts, tail):
     source = "".join(sep + fragment for sep, fragment in parts) + tail
     expected_error = _first_error(source)

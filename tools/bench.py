@@ -8,7 +8,9 @@ alternates from one repetition to the next, continuing from the runs that
 the output file already holds for that workload, seed and trace setting.
 The result line, the ``unmeasured:`` and ``measured, before rescaling:``
 lines, and the checkout's commit id are appended to the output file's
-``runs``, so several invocations can add to one ``BENCH_<n>.json``.
+``runs``, so several invocations can add to one ``BENCH_<n>.json``. A
+checkout that is not a git work tree, such as a ``git archive`` export, runs
+with the commit recorded as ``unknown: not a git work tree``.
 Example, from the repository root:
 
     python3 tools/bench.py BENCH_6.json --checkout parent=../parent --checkout change=.
@@ -37,16 +39,23 @@ WORKLOADS = ("scripted-large", "command-oracle", "study")
 SECONDS = 30.0
 PREFIXES = {"unmeasured: ": "unmeasured", "measured, before rescaling: ": "measured"}
 BENCHMARK = Path(__file__).resolve().parent.parent / "BENCHMARK.json"
+#: The commit recorded for a checkout that git cannot name.
+NO_COMMIT = "unknown: not a git work tree"
 
 
 def commit_of(root: Path) -> str:
-    """HEAD of the checkout, with ``-dirty`` when tracked files differ from it."""
-    def git(*args: str) -> str:
-        return subprocess.run(["git", "-C", str(root), *args], check=True,
-                              capture_output=True, text=True).stdout.strip()
+    """HEAD of the checkout, with ``-dirty`` when tracked files differ from
+    it, or :data:`NO_COMMIT` when the checkout is not the top of a git work
+    tree with a commit (a ``git archive`` export, say), which still runs."""
+    def git(*args: str) -> str | None:
+        done = subprocess.run(["git", "-C", str(root), *args],
+                              capture_output=True, text=True)
+        return None if done.returncode else done.stdout.strip()
 
-    dirty = git("status", "--porcelain", "--untracked-files=no")
-    return git("rev-parse", "HEAD") + ("-dirty" if dirty else "")
+    top, head = git("rev-parse", "--show-toplevel"), git("rev-parse", "--verify", "HEAD")
+    if top is None or head is None or Path(top).resolve() != root.resolve():
+        return NO_COMMIT
+    return head + ("-dirty" if git("status", "--porcelain", "--untracked-files=no") else "")
 
 
 def run_once(root: Path, workload: str, seed: int, trace: int) -> dict:
