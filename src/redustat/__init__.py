@@ -28,13 +28,7 @@ from .oracle import (
     evaluate,
     normalize_signature,
 )
-from .reducer import (
-    ReductionOutcome,
-    TooLargeError,
-    brute_force_minimal,
-    reduce_test,
-    verify_one_minimal,
-)
+from .reducer import ReductionOutcome, reduce_test, verify_one_minimal
 from .metrics import (
     CountMismatchError,
     EmptyCorpusError,

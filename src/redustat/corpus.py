@@ -213,14 +213,9 @@ def load_corpus_config(path: str | Path) -> CorpusConfig:
         raise CorpusConfigError(f"config missing field {exc}") from None
 
 
-@dataclass
-class _EntryResult:
-    status: EntryStatus
-    record: dict | None = None
-    report: dict | None = None
-
-
-def _run_entry(entry: CorpusEntry, policy: MatchPolicy) -> _EntryResult:
+def _run_entry(entry: CorpusEntry,
+               policy: MatchPolicy) -> tuple[EntryStatus, dict | None, dict | None]:
+    """``(status, record, report)``; a failed entry has no record or report."""
     try:
         ast = entry.load_ast()
         outcome = reduce_test(ast, entry.build_oracle(policy))
@@ -228,11 +223,9 @@ def _run_entry(entry: CorpusEntry, policy: MatchPolicy) -> _EntryResult:
         # report's file name: two tree documents may carry one test_name.
         record = {**metrics_from_reduction(ast, outcome),
                   "test": entry.name, "project": entry.project}
-        return _EntryResult(EntryStatus(entry.name, True), record,
-                            outcome.to_report())
+        return EntryStatus(entry.name, True), record, outcome.to_report()
     except Exception as exc:
-        return _EntryResult(EntryStatus(entry.name, False,
-                                        f"{type(exc).__name__}: {exc}"))
+        return EntryStatus(entry.name, False, f"{type(exc).__name__}: {exc}"), None, None
 
 
 def _file_size(entry: CorpusEntry) -> int:
@@ -270,15 +263,16 @@ def run_corpus(config: CorpusConfig) -> ReportBundle:
             for i, result in zip(order, done):
                 results[i] = result
 
-    records = [r.record for r in results if r.record is not None]
+    statuses, records, reports = zip(*results)
+    records = [record for record in records if record is not None]
     if not records:
         raise EmptyCorpusError("every corpus entry failed; nothing to report")
     bundle = assemble_bundle(
         corpus_name=config.corpus_name,
         records=records,
         provenance_source=config.source_text,
-        entry_statuses=[r.status for r in results],
-        reduction_reports=[r.report for r in results if r.report is not None],
+        entry_statuses=statuses,
+        reduction_reports=[report for report in reports if report is not None],
     )
     bundle.write(config.output_dir)
     return bundle

@@ -5,11 +5,8 @@ An oracle is any object with a ``match_policy`` and a method
 the ``retained`` statement ids of ``ast``. ``retained`` is a read-only set
 that is valid only during the call: the reducer hands out a view of its live
 state, so an oracle that keeps the set must copy it with
-``frozenset(retained)``. A view implements ``in``, ``len``, iteration and the
-memoised ``>=`` itself. Every other ``Set`` operation (``&``, ``isdisjoint``,
-``<=``, ``==``) comes from ``collections.abc.Set`` at the cost of its other
-operand. :func:`evaluate` is the single call point; the reducer never looks
-at an oracle's type. Two oracles ship:
+``frozenset(retained)``. :func:`evaluate` is the single call point; the
+reducer never looks at an oracle's type. Two oracles ship:
 
 - :class:`OracleConfig` renders the candidate, writes it to a file in a fresh
   temporary directory, substitutes its path into a command template, and
@@ -29,8 +26,9 @@ as "not failing". Settings that no run could honour are refused with
 runs: a ``signature_pattern`` that is not a regular expression, a
 ``command_template`` that is not a string, that shlex cannot split or that
 names no command, a ``workdir`` that is not a string, a ``timeout_ms`` that is
-not a positive ``int``, and a ``fail_exit_codes`` member that is not an
-``int`` or is 0 (exit 0 is always Pass). A ``bool`` is no ``int`` here.
+not a positive ``int`` or exceeds 2**31 - 1 (the largest wait the poll
+selector takes), and a ``fail_exit_codes`` member that is not an ``int`` or
+is 0 (exit 0 is always Pass). A ``bool`` is no ``int`` here.
 
 Verdict evaluation blocks. Distinct oracle instances may run concurrently in
 different working directories, but one OracleConfig must not be invoked
@@ -46,7 +44,6 @@ import shlex
 import signal
 import subprocess
 import tempfile
-import time
 from dataclasses import dataclass
 from enum import Enum
 from typing import AbstractSet, ClassVar, Protocol
@@ -95,7 +92,6 @@ class OracleVerdict:
 
     status: VerdictStatus
     signature: str = ""
-    duration_ms: float = 0.0
 
     def __post_init__(self) -> None:
         if (self.status is VerdictStatus.FAIL) != bool(self.signature):
@@ -147,6 +143,9 @@ class OracleConfig:
         # A bool is an int, but true is no timeout.
         if type(self.timeout_ms) is not int or self.timeout_ms <= 0:
             raise ValueError("timeout_ms must be a positive integer")
+        # The poll selector takes its wait as a C int of milliseconds.
+        if self.timeout_ms > 2**31 - 1:
+            raise ValueError("timeout_ms must be at most 2147483647")
         if self.match_policy is MatchPolicy.SAME_SIGNATURE and not self.signature_pattern:
             raise ValueError("signature_pattern is required under the "
                              "SameSignature policy")
@@ -204,21 +203,19 @@ class ScriptedOracle:
             raise ValueError("failure sets must be non-empty")
 
     def fails(self, retained: AbstractSet[int]) -> bool:
-        # A view implements ``in``, ``len``, iteration and the memoised ``>=``
-        # itself. Every other ``Set`` operation (``&``, ``isdisjoint``, ``<=``,
-        # ``==``) comes from ``collections.abc.Set`` at the cost of its other
-        # operand, so ``isdisjoint`` here costs the blockers.
+        # On a reducer view, ``isdisjoint`` costs the blockers.
         if self.blockers and not (retained >= self.blockers
                                   or retained.isdisjoint(self.blockers)):
             return False  # some but not all blockers retained
         return any(retained >= fs for fs in self.failure_sets)
 
     def verdict(self, retained: AbstractSet[int], ast: TestCaseAst) -> OracleVerdict:
-        return _SCRIPTED_FAIL if self.fails(retained) else _SCRIPTED_PASS
+        return _SCRIPTED_FAIL if self.fails(retained) else _PASS
 
 
 _SCRIPTED_FAIL = OracleVerdict(VerdictStatus.FAIL, SCRIPTED_SIGNATURE)
-_SCRIPTED_PASS = OracleVerdict(VerdictStatus.PASS)
+_PASS = OracleVerdict(VerdictStatus.PASS)
+_INVALID = OracleVerdict(VerdictStatus.INVALID)
 
 
 def evaluate(oracle: Oracle, retained: AbstractSet[int],
@@ -240,7 +237,6 @@ def baseline_signature(oracle: Oracle, original: TestCaseAst) -> str:
 
 
 def _run_external_once(config: OracleConfig, source_text: str) -> OracleVerdict:
-    started = time.monotonic()
     # A fresh directory per run: the candidate and whatever the command
     # writes next to it are removed when the run ends.
     with tempfile.TemporaryDirectory(prefix="redustat-",
@@ -274,8 +270,7 @@ def _run_external_once(config: OracleConfig, source_text: str) -> OracleVerdict:
             try:
                 stdout, stderr = proc.communicate(timeout=config.timeout_ms / 1000.0)
             except subprocess.TimeoutExpired:
-                return OracleVerdict(VerdictStatus.INVALID,
-                                     duration_ms=_elapsed_ms(started))
+                return _INVALID
             finally:
                 # Also after a normal exit: a background child left running
                 # would still write to the workdir while the next candidate
@@ -283,17 +278,12 @@ def _run_external_once(config: OracleConfig, source_text: str) -> OracleVerdict:
                 with contextlib.suppress(ProcessLookupError):
                     os.killpg(proc.pid, signal.SIGKILL)
 
-    duration = _elapsed_ms(started)
     if proc.returncode == 0:
-        return OracleVerdict(VerdictStatus.PASS, duration_ms=duration)
+        return _PASS
     if proc.returncode in config.fail_exit_codes:
         signature = _extract_signature(config, stdout + stderr, proc.returncode)
-        return OracleVerdict(VerdictStatus.FAIL, signature, duration)
-    return OracleVerdict(VerdictStatus.INVALID, duration_ms=duration)
-
-
-def _elapsed_ms(started: float) -> float:
-    return (time.monotonic() - started) * 1000.0
+        return OracleVerdict(VerdictStatus.FAIL, signature)
+    return _INVALID
 
 
 def _extract_signature(config: OracleConfig, output: str, returncode: int) -> str:

@@ -29,12 +29,9 @@ A sweep keeps the retained ids in one mutable set, ``kept``. Each candidate
 is a read-only view of that set minus the attempted subtree, and an accepted
 candidate is committed by removing the subtree in place, so the reducer's
 bookkeeping per candidate costs the size of the subtree, not of the test.
-A view implements ``in``, ``len``, iteration and the memoised ``>=`` itself.
-Every other ``Set`` operation (``&``, ``isdisjoint``, ``<=``, ``==``) comes
-from ``collections.abc.Set`` at the cost of its other operand. ``kept``
-shrinks only through commits, so the memo of ``candidate >= fs`` for a
-frozenset ``fs`` holds for the sweep: False stays False, and True stays True
-until a commit removes one of ``fs``'s members.
+``kept`` shrinks only through commits, so a view's memo of ``candidate >= fs``
+for a frozenset ``fs`` holds for the sweep: False stays False, and True stays
+True until a commit removes one of ``fs``'s members.
 
 Invalid verdicts (non-compiling candidates, timeouts) count as "not failing":
 the statement is kept, the standard treatment of unresolved outcomes in
@@ -47,33 +44,23 @@ import time
 from collections.abc import Set
 from dataclasses import dataclass
 from itertools import combinations
-from typing import NamedTuple
 
 from .model import TestCaseAst, render
-from .oracle import (
-    Oracle,
-    VerdictStatus,
-    baseline_signature,
-    evaluate,
-    verdict_accepted,
-)
+from .oracle import Oracle, baseline_signature, evaluate, verdict_accepted
 
 
 class TooLargeError(ValueError):
     """Exhaustive search refused beyond the statement bound."""
 
 
-class TraceEntry(NamedTuple):
-    """One removal attempt, for audit."""
-
-    node_id: int
-    accepted: bool
-    status: VerdictStatus
-
-
 @dataclass(frozen=True)
 class ReductionOutcome:
-    """The minimal test plus bookkeeping about what was removed."""
+    """The minimal test plus bookkeeping about what was removed.
+
+    Each field is the report key of its name. ``trace`` holds one entry per
+    removal attempt, in call order: ``{"node": id, "decision": "accepted" or
+    "rejected", "verdict": "Fail", "Pass" or "Invalid"}``.
+    """
 
     test_name: str
     retained: frozenset[int]
@@ -82,32 +69,15 @@ class ReductionOutcome:
     removed_tn: int
     oracle_calls: int
     wall_time_ms: float
-    minimal_source: str
-    baseline: str
     passes: int
-    trace: tuple[TraceEntry, ...]
+    baseline_signature: str
+    minimal_source: str
+    trace: list[dict]
 
     def to_report(self) -> dict:
         """JSON-ready per-test reduction report."""
-        return {
-            "test_name": self.test_name,
-            "retained": sorted(self.retained),
-            "removed": sorted(self.removed),
-            "removed_ntn": self.removed_ntn,
-            "removed_tn": self.removed_tn,
-            "oracle_calls": self.oracle_calls,
-            "wall_time_ms": self.wall_time_ms,
-            "passes": self.passes,
-            "baseline_signature": self.baseline,
-            "minimal_source": self.minimal_source,
-            # ``_value_`` is a plain attribute; the ``value`` property would
-            # cost a Python-level call per trace entry.
-            "trace": [
-                {"node": node_id, "decision": "accepted" if accepted else "rejected",
-                 "verdict": status._value_}
-                for node_id, accepted, status in self.trace
-            ],
-        }
+        return dict(vars(self), retained=sorted(self.retained),
+                    removed=sorted(self.removed))
 
 
 class _Candidate(Set):
@@ -187,7 +157,7 @@ def _sweep_order(ast: TestCaseAst) -> list[int]:
 
 def _sweep(ast: TestCaseAst, oracle: Oracle, baseline: str, order: list[int],
            retained: frozenset[int], settled: set[int],
-           trace: list[TraceEntry]) -> tuple[frozenset[int], bool]:
+           trace: list[dict]) -> tuple[frozenset[int], bool]:
     """One pass over ``order``. ``settled`` holds the ids whose last rejection
     judged the candidate that removing them would give now; it and ``trace``
     carry over from pass to pass."""
@@ -201,7 +171,10 @@ def _sweep(ast: TestCaseAst, oracle: Oracle, baseline: str, order: list[int],
         candidate = _Candidate(kept, ast.subtree_ids(node_id) & kept, within)
         verdict = evaluate(oracle, candidate, ast)
         ok = verdict_accepted(verdict, baseline, oracle.match_policy)
-        trace.append(TraceEntry(node_id, ok, verdict.status))
+        # ``_value_`` is a plain attribute; the ``value`` property would cost
+        # a Python-level call per trace entry.
+        trace.append({"node": node_id, "decision": "accepted" if ok else "rejected",
+                      "verdict": verdict.status._value_})
         if ok:
             _commit(kept, within, candidate.dropped)
             if settled:
@@ -231,7 +204,7 @@ def reduce_test(ast: TestCaseAst, oracle: Oracle) -> ReductionOutcome:
     order = _sweep_order(ast)
     retained = ast.all_ids()
     settled: set[int] = set()
-    trace: list[TraceEntry] = []
+    trace: list[dict] = []
     passes = 0
     while True:
         passes += 1
@@ -250,10 +223,10 @@ def reduce_test(ast: TestCaseAst, oracle: Oracle) -> ReductionOutcome:
         removed_tn=removed_tn,
         oracle_calls=1 + len(trace),  # the baseline, then one per candidate
         wall_time_ms=(time.monotonic() - started) * 1000.0,
-        minimal_source=render(ast, retained),
-        baseline=baseline,
         passes=passes,
-        trace=tuple(trace),
+        baseline_signature=baseline,
+        minimal_source=render(ast, retained),
+        trace=trace,
     )
 
 

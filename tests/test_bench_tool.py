@@ -3,10 +3,18 @@ import json
 import subprocess
 from pathlib import Path
 
-_SPEC = importlib.util.spec_from_file_location(
-    "bench_tool", Path(__file__).resolve().parents[1] / "tools" / "bench.py")
-bench = importlib.util.module_from_spec(_SPEC)
-_SPEC.loader.exec_module(bench)
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def _load(name, path):
+    spec = importlib.util.spec_from_file_location(name, path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+bench = _load("bench_tool", ROOT / "tools" / "bench.py")
+tracing = _load("bench_tracing", ROOT / "benchmark" / "tracing.py")
 
 PARENT = [1.00, 1.01, 0.99, 1.02, 1.00, 0.98, 1.01, 1.00, 0.99, 1.03]
 
@@ -97,3 +105,12 @@ def test_a_checkout_that_is_not_a_git_work_tree_runs_with_a_marker(tmp_path, mon
     commits = {run["label"]: run["commit"] for run in json.loads(out.read_text())["runs"]}
     assert commits == {"parent": bench.NO_COMMIT, "change": git("rev-parse", "HEAD") + "-dirty",
                        "inner": bench.NO_COMMIT}
+
+
+def test_every_benchmark_hook_point_resolves():
+    # A hook point that is gone is no error to the benchmark: its per-layer
+    # metrics read "unmeasured". A rename must fail here instead.
+    points = [(module, path) for _, module, path in tracing.SPAN_HOOKS + tracing.COUNT_HOOKS]
+    points.append(("redustat.oracle", "ScriptedOracle.fails"))  # run.py's probe
+    assert [f"{module}.{path}" for module, path in points
+            if tracing.resolve(module, path) is None] == []

@@ -145,7 +145,6 @@ def test_command_failure_with_extracted_signature(command_oracle):
     assert verdict.status is VerdictStatus.FAIL
     assert verdict.signature.startswith("AssertionError")
     assert "42" not in verdict.signature  # line numbers are normalized away
-    assert verdict.duration_ms > 0
 
 
 def test_command_pass(command_oracle):
@@ -286,12 +285,13 @@ def test_config_validation():
     ({"timeout_ms": 1.5}, "timeout_ms must be a positive integer"),
     ({"timeout_ms": "100"}, "timeout_ms must be a positive integer"),
     ({"timeout_ms": 0}, "timeout_ms must be a positive integer"),
+    ({"timeout_ms": 2**31}, "timeout_ms must be at most 2147483647"),
     ({"fail_exit_codes": frozenset({"1"})}, "fail_exit_codes must hold integers"),
     ({"fail_exit_codes": frozenset({True})}, "fail_exit_codes must hold integers"),
     ({"fail_exit_codes": frozenset({1.0})}, "fail_exit_codes must hold integers"),
 ], ids=["workdir-null", "workdir-int", "timeout-bool", "timeout-float",
-        "timeout-str", "timeout-zero", "exit-code-str", "exit-code-bool",
-        "exit-code-float"])
+        "timeout-str", "timeout-zero", "timeout-above-c-int", "exit-code-str",
+        "exit-code-bool", "exit-code-float"])
 def test_config_field_types_are_checked(setting, message):
     # true would be a 1 ms timeout, and "1" would never equal an exit code,
     # so every failing run would read as Invalid.

@@ -1,11 +1,14 @@
+import contextlib
 import functools
 import hashlib
+import io
 import json
 import os
 import random
 import subprocess
 import sys
 import textwrap
+from ast import literal_eval
 from pathlib import Path
 from unittest import mock
 
@@ -33,7 +36,6 @@ from redustat.oracle import (
 from redustat.parser import parse_test
 from redustat.reducer import (
     TooLargeError,
-    TraceEntry,
     _Candidate,
     brute_force_minimal,
     reduce_test,
@@ -93,7 +95,7 @@ def test_outcome_bookkeeping(flat_five):
     assert outcome.removed_ntn + outcome.removed_tn == len(outcome.removed)
     assert outcome.oracle_calls <= outcome.passes * 5 + 1
     assert outcome.wall_time_ms >= 0
-    trace_ids = [entry.node_id for entry in outcome.trace]
+    trace_ids = [entry["node"] for entry in outcome.trace]
     assert set(trace_ids) <= flat_five.all_ids()
 
 
@@ -118,8 +120,8 @@ def test_pass_on_one_minimal_set_is_fixpoint(flat_five):
     outcome = reduce_test(flat_five, scripted({2}))
     assert outcome.retained == {2}
     last_pass = outcome.trace[-len(outcome.retained):]
-    assert [entry.node_id for entry in last_pass] == [2]
-    assert not any(entry.accepted for entry in last_pass)
+    assert [entry["node"] for entry in last_pass] == [2]
+    assert all(entry["decision"] == "rejected" for entry in last_pass)
 
 
 def test_subtrees_are_attempted_before_leaves():
@@ -129,7 +131,7 @@ def test_subtrees_are_attempted_before_leaves():
     assert outcome.retained == {3}
     # z() was rejected after the last commit, so the certifying pass has
     # nothing left to try
-    assert [entry.node_id for entry in outcome.trace] == [0, 3]
+    assert [entry["node"] for entry in outcome.trace] == [0, 3]
     assert outcome.oracle_calls == 3
 
 
@@ -138,7 +140,7 @@ def test_outer_trees_are_attempted_before_the_trees_they_hold():
     ast = parse_test("if (a) { if (b) { x(); }\n y(); }\nz();\n")
     outcome = reduce_test(ast, scripted({4}))
     assert outcome.retained == {4}
-    assert [entry.node_id for entry in outcome.trace] == [0, 4]
+    assert [entry["node"] for entry in outcome.trace] == [0, 4]
 
 
 def test_monotone_oracles_reduce_to_the_closure_of_the_cause():
@@ -231,7 +233,7 @@ def test_invalid_candidates_keep_statements(tmp_path):
     ast = parse_test("first();\nsecond();\nthird();\n", test_name="inv")
     outcome = reduce_test(ast, config)
     assert outcome.retained == {1, 2}
-    assert any(entry.status is VerdictStatus.INVALID for entry in outcome.trace)
+    assert any(entry["verdict"] == "Invalid" for entry in outcome.trace)
 
 
 def test_reduction_with_command_oracle_end_to_end(tmp_path):
@@ -260,6 +262,21 @@ def test_reduction_with_command_oracle_end_to_end(tmp_path):
     assert token_texts(outcome.minimal_source) == token_texts(
         "if (ready) { mustKeep(); }")
     assert outcome.removed_ntn == 3 and outcome.removed_tn == 0
+
+
+def test_readme_library_example_prints_what_its_comments_say():
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    section = readme.split("## Library in one example\n", 1)[1]
+    block = section.split("```python\n", 1)[1].split("```", 1)[0]
+    printed = io.StringIO()
+    with contextlib.redirect_stdout(printed):
+        exec(block, {})
+    *source, row = printed.getvalue().splitlines()
+    # The row's comment: the lines that start with "#", up to the dict's end.
+    comment = " ".join(line.lstrip("# ") for line in block.splitlines()
+                       if line.startswith("#"))
+    assert literal_eval(row) == literal_eval(comment[:comment.index("}") + 1])
+    assert token_texts("\n".join(source)) == token_texts("if (ready) { explode(x); }")
 
 
 # -- candidates as views of the retained set -----------------------------------
@@ -295,7 +312,8 @@ def frozenset_sweep(ast, oracle, baseline, order, retained, settled, trace,
             continue
         verdict = evaluate(oracle, attempt, ast)
         ok = verdict_accepted(verdict, baseline, oracle.match_policy)
-        trace.append(TraceEntry(node_id, ok, verdict.status))
+        trace.append({"node": node_id, "decision": "accepted" if ok else "rejected",
+                      "verdict": verdict.status.value})
         if ok:
             retained = attempt
             changed = True
@@ -408,7 +426,7 @@ def test_settled_rejections_drop_exactly_the_repeated_candidates(shape, data):
     sent, fresh = set(), []
     for entry, members in zip(uncached.trace, candidates, strict=True):
         if members in sent:
-            assert not entry.accepted
+            assert entry["decision"] == "rejected"
         else:
             fresh.append(entry)
         sent.add(members)
