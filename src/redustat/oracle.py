@@ -28,7 +28,9 @@ runs: a ``signature_pattern`` that is not a regular expression, a
 names no command, a ``workdir`` that is not a string, a ``timeout_ms`` that is
 not a positive ``int`` or exceeds 2**31 - 1 (the largest wait the poll
 selector takes), and a ``fail_exit_codes`` member that is not an ``int`` or
-is 0 (exit 0 is always Pass). A ``bool`` is no ``int`` here.
+is 0 (exit 0 is always Pass); :class:`ScriptedOracle` refuses a
+``failure_sets`` or ``blockers`` member that is not an ``int``. A ``bool`` is
+no ``int`` here.
 
 Verdict evaluation blocks. Distinct oracle instances may run concurrently in
 different working directories, but one OracleConfig must not be invoked
@@ -201,13 +203,20 @@ class ScriptedOracle:
             raise ValueError("at least one failure set is required")
         if any(not fs for fs in self.failure_sets):
             raise ValueError("failure sets must be non-empty")
+        # true or 1.0 would quietly mean statement 1, and "1" no statement.
+        if any(type(i) is not int for ids in (*self.failure_sets, self.blockers)
+               for i in ids):
+            raise ValueError("failure_sets and blockers must hold integers")
 
     def fails(self, retained: AbstractSet[int]) -> bool:
         # On a reducer view, ``isdisjoint`` costs the blockers.
         if self.blockers and not (retained >= self.blockers
                                   or retained.isdisjoint(self.blockers)):
             return False  # some but not all blockers retained
-        return any(retained >= fs for fs in self.failure_sets)
+        for fs in self.failure_sets:
+            if retained >= fs:
+                return True
+        return False
 
     def verdict(self, retained: AbstractSet[int], ast: TestCaseAst) -> OracleVerdict:
         return _SCRIPTED_FAIL if self.fails(retained) else _PASS
@@ -290,7 +299,8 @@ def _extract_signature(config: OracleConfig, output: str, returncode: int) -> st
     if config.signature_pattern:
         match = re.search(config.signature_pattern, output)
         if match:
-            raw = match.group(1) if match.groups() else match.group(0)
+            # A group 1 that took no part in the match is empty.
+            raw = (match.group(1) or "") if match.groups() else match.group(0)
             normalized = normalize_signature(raw)
             if normalized:
                 return normalized

@@ -26,9 +26,10 @@ The reduction ends with a sweep that accepts nothing. That is the
 candidate it would be now, the final set minus its subtree.
 
 A sweep keeps the retained ids in one mutable set, ``kept``. Each candidate
-is a read-only view of that set minus the attempted subtree, and an accepted
-candidate is committed by removing the subtree in place, so the reducer's
-bookkeeping per candidate costs the size of the subtree, not of the test.
+is a read-only view of that set minus the attempted subtree, one view that the
+sweep re-points at each attempt, so it is valid until the sweep moves on. An
+accepted candidate is committed by removing the subtree in place, so the
+bookkeeping per candidate costs the subtree's size, not the test's.
 ``kept`` shrinks only through commits, so a view's memo of ``candidate >= fs``
 for a frozenset ``fs`` holds for the sweep: False stays False, and True stays
 True until a commit removes one of ``fs``'s members.
@@ -84,7 +85,8 @@ class _Candidate(Set):
     """Read-only view of ``kept - dropped``, one candidate's retained ids.
 
     ``kept`` is the sweep's live retained set and ``dropped`` the attempted
-    subtree's ids within it; the view is valid until ``kept`` changes. It
+    subtree's ids within it. The sweep re-points ``dropped`` for each
+    candidate, so the view is valid until the sweep moves on. It
     implements ``in``, ``len``, iteration and the memoised ``>=`` itself.
     Every other ``Set`` operation (``&``, ``isdisjoint``, ``<=``, ``==``)
     comes from ``collections.abc.Set`` at the cost of its other operand.
@@ -113,9 +115,8 @@ class _Candidate(Set):
         return iter(self.kept - self.dropped)
 
     def __ge__(self, other: object) -> bool:
-        # frozenset is named before the ABC, whose isinstance check costs
-        # more than the rest of the test.
-        if not isinstance(other, (frozenset, Set)):
+        # The ABC's isinstance check costs more than the rest of the test.
+        if type(other) is not frozenset and not isinstance(other, Set):
             return NotImplemented
         # The subtree is checked first: a candidate that drops a needed
         # statement is rejected at the subtree's cost.
@@ -162,13 +163,16 @@ def _sweep(ast: TestCaseAst, oracle: Oracle, baseline: str, order: list[int],
     judged the candidate that removing them would give now; it and ``trace``
     carry over from pass to pass."""
     statements = ast.statements
+    trees = ast.tree_ids
     kept = set(retained)
     within: dict[frozenset[int], bool] = {}
+    candidate = _Candidate(kept, frozenset(), within)
     changed = False
     for node_id in order:
         if node_id not in kept or node_id in settled:
             continue  # removed already, or rejected on this very candidate
-        candidate = _Candidate(kept, ast.subtree_ids(node_id) & kept, within)
+        candidate.dropped = (ast.subtree_ids(node_id) & kept if node_id in trees
+                             else frozenset((node_id,)))
         verdict = evaluate(oracle, candidate, ast)
         ok = verdict_accepted(verdict, baseline, oracle.match_policy)
         # ``_value_`` is a plain attribute; the ``value`` property would cost

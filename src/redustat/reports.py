@@ -267,5 +267,6 @@ def _dump_json(payload) -> str:
 
 
 def dump_reduction_report(report: dict) -> str:
-    """One line of JSON: ``indent`` would swap in json's pure-Python encoder."""
-    return json.dumps(report, sort_keys=True) + "\n"
+    """One line of JSON: ``indent`` would swap in json's pure-Python encoder.
+    A fresh ``to_report`` dict holds no cycle to check for."""
+    return json.dumps(report, sort_keys=True, check_circular=False) + "\n"

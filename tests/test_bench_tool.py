@@ -49,6 +49,16 @@ def test_summary_is_not_met_with_eight_wins_or_a_gap_inside_the_iqr():
     assert "won 10 of 10 pairs" in close and close.endswith("gain rule not met")
 
 
+def test_summary_reports_a_median_worse_than_the_bound():
+    # The parent's median is 1; wall_s has a bound of 25% in BENCHMARK.json.
+    [worse] = bench.summarize(_alternating([1.30] * 10))
+    assert "+30.0%;" in worse and "; worse than bound 25%; gain rule not met" in worse
+    [inside] = bench.summarize(_alternating([1.20] * 10))
+    assert "; within bound 25%; gain rule not met" in inside
+    [better] = bench.summarize(_alternating([0.80] * 10))
+    assert "; within bound 25%; gain rule holds" in better
+
+
 def test_a_failed_run_keeps_later_runs_paired():
     record = _alternating([0.80] * 10)
     failed = next(run for run in record["runs"] if run["label"] == "change")

@@ -105,6 +105,7 @@ def test_entry_failures_are_isolated(tmp_path):
         entry("good", "a();\nb();\n", [[1]], tmp_path),
         entry("never-fails", "c();\nd();\n", [[99]], tmp_path),
         entry("bad-syntax", "e(;\n", [[0]], tmp_path),
+        entry("bool-id", "f();\ng();\n", [[True]], tmp_path),
     ]
     config = load_corpus_config(write_corpus(tmp_path, entries))
     bundle = run_corpus(config)
@@ -113,7 +114,9 @@ def test_entry_failures_are_isolated(tmp_path):
     assert not status["never-fails"].ok
     assert "OriginalDoesNotFail" in status["never-fails"].error
     assert not status["bad-syntax"].ok
-    assert bundle.entry_errors == 2
+    assert status["bool-id"].error == ("ValueError: failure_sets and blockers "
+                                       "must hold integers")
+    assert bundle.entry_errors == 3
     assert [r["test"] for r in bundle.records] == ["good"]
 
 
@@ -696,3 +699,17 @@ def test_workload_slice_calls_are_pinned(tmp_path, workload, count):
     digest = hashlib.sha256(json.dumps(retained, sort_keys=True).encode()).hexdigest()
     calls = sum(r["oracle_calls"] for r in bundle.reduction_reports)
     assert (calls, digest) == WORKLOAD_SLICES[workload, count]
+
+
+#: The summed report ``oracle_calls`` of whole workloads at seed 1, the
+#: figures that ``benchmark/run.py`` reports and that no change may raise.
+WORKLOAD_CALLS = {"scripted-large": 21931, "study": 9464}
+
+
+@pytest.mark.parametrize("workload", sorted(WORKLOAD_CALLS))
+def test_workload_oracle_calls_are_pinned(tmp_path, workload):
+    inputs = _benchmark_workloads().write_inputs(workload, 1, tmp_path, REPO)
+    bundle = run_corpus(load_corpus_config(inputs.config_path))
+    assert bundle.entry_errors == 0
+    calls = sum(r["oracle_calls"] for r in bundle.reduction_reports)
+    assert calls == WORKLOAD_CALLS[workload]

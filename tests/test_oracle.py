@@ -64,6 +64,21 @@ def test_empty_failure_set_rejected():
         ScriptedOracle(failure_sets=())
 
 
+@pytest.mark.parametrize("failure_sets, blockers", [
+    ((frozenset({True}),), frozenset()),
+    ((frozenset({1.0}),), frozenset()),
+    ((frozenset({"1"}),), frozenset()),
+    ((frozenset({0}), frozenset({2, None})), frozenset()),
+    ((frozenset({0}),), frozenset({True})),
+    ((frozenset({0}),), frozenset({2.0})),
+    ((frozenset({0}),), frozenset({"2"})),
+], ids=["set-bool", "set-float", "set-str", "second-set-none", "blocker-bool",
+        "blocker-float", "blocker-str"])
+def test_scripted_ids_must_be_ints(failure_sets, blockers):
+    with pytest.raises(ValueError, match="failure_sets and blockers must hold integers"):
+        ScriptedOracle(failure_sets, blockers)
+
+
 def test_monotonicity_property_without_blockers():
     rng = random.Random(11)
     for _ in range(200):
@@ -258,6 +273,21 @@ def test_non_utf8_output_still_gives_a_verdict(tmp_path):
     verdict = command_verdict(config, "x();")
     assert verdict.status is VerdictStatus.FAIL
     assert verdict.signature == "java.lang.AssertionError"
+
+
+def test_signature_group_outside_the_match_falls_back_to_the_exit_code(tmp_path):
+    script = tmp_path / "fail.sh"
+    script.write_text('grep -q "deep();" "$1" && echo AssertionError || echo Error\n'
+                      "exit 1\n", encoding="utf-8")
+    config = OracleConfig(
+        command_template=f"sh {script} {{candidate}}",
+        workdir=str(tmp_path),
+        signature_pattern=r"(Assertion)?Error",
+        match_policy=MatchPolicy.SAME_SIGNATURE,
+    )
+    # Group 1 took no part in matching "Error": the fingerprint is empty.
+    assert command_verdict(config, "x();") == OracleVerdict(VerdictStatus.FAIL, "exit:1")
+    assert command_verdict(config, "deep();").signature == "Assertion"
 
 
 def test_config_validation():

@@ -479,6 +479,10 @@ def test_flat_test_is_reduced_in_linear_time():
 _IDS = st.integers(0, 30)
 
 
+class _FrozensetSubclass(frozenset):
+    pass
+
+
 @settings(max_examples=300, deadline=None)
 @given(st.sets(_IDS), st.data(), st.frozensets(_IDS))
 def test_candidate_view_agrees_with_its_frozenset(kept, data, other):
@@ -489,6 +493,9 @@ def test_candidate_view_agrees_with_its_frozenset(kept, data, other):
     assert len(view) == len(expected)
     assert sorted(view) == sorted(expected)
     assert (view >= other) == (expected >= other)
+    # Operands other than an exact frozenset take the ABC path.
+    assert (view >= _FrozensetSubclass(other)) == (expected >= other)
+    assert view.__ge__(sorted(other)) is NotImplemented
     assert (view <= other) == (expected <= other)
     assert (other <= view) == (other <= expected)
     assert (other >= view) == (other >= expected)

@@ -20,9 +20,11 @@ each workload, seed, label other than ``parent`` and end-to-end metric of
 ``BENCHMARK.json``, prints the parent's and that label's median and
 quartiles, the number of pairs the label won (the i-th parent run against
 its i-th run, in the order recorded; ties count for neither side), and
-whether the gain rule holds: at least 10 pairs, at least nine tenths of
-them won, and medians that differ by more than the parent's interquartile
-range. Example: ``python3 tools/bench.py --summary BENCH_10.json``.
+whether the label's median is worse than the parent's by more than the
+metric's ``bound``, a relative change, and whether the gain rule holds: at
+least 10 pairs, at least nine tenths of them won, and medians that differ by
+more than the parent's interquartile range. Example:
+``python3 tools/bench.py --summary BENCH_10.json``.
 """
 
 from __future__ import annotations
@@ -112,13 +114,17 @@ def summarize(record: dict) -> list[str]:
                 won = sum(c < p if lower else c > p for p, c in pairs)
                 gap = o2 - n2 if lower else n2 - o2
                 holds = len(pairs) >= 10 and won >= 0.9 * len(pairs) and gap > o3 - o1
+                # -gap is how much worse the label is; a parent median of 0
+                # makes any worsening exceed the bound.
+                beyond = -gap > metric["bound"] * abs(o2)
                 change = f"{100 * (n2 - o2) / o2:+.1f}%" if o2 else "n/a"
                 lines.append(
                     f"{workload} seed {seed} {name} [{metric['unit']}]: "
                     f"parent {o2:.5g} [{o1:.5g}, {o3:.5g}] ({len(old)} runs), "
                     f"{label} {n2:.5g} [{n1:.5g}, {n3:.5g}] ({len(new)} runs), {change}; "
                     f"won {won} of {len(pairs)} pairs; gap {gap:.5g} against parent "
-                    f"IQR {o3 - o1:.5g}; gain rule {'holds' if holds else 'not met'}")
+                    f"IQR {o3 - o1:.5g}; {'worse than' if beyond else 'within'} bound "
+                    f"{metric['bound']:.0%}; gain rule {'holds' if holds else 'not met'}")
     return lines
 
 
