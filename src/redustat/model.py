@@ -153,13 +153,6 @@ class TestCaseAst:
             stack.extend(self.statements[cur].children)
         return frozenset(out)
 
-    def is_ancestor_closed(self, retained: Iterable[int]) -> bool:
-        kept = set(retained)
-        return all(
-            self.statements[i].parent is None or self.statements[i].parent in kept
-            for i in kept
-        )
-
 
 def count_categories(ast: TestCaseAst) -> tuple[int, int, int]:
     """Return ``(stmts, ntn, tn)``: total, leaf, and tree statement counts.

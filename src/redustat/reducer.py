@@ -24,6 +24,8 @@ the candidate's text, as the certificate below does.
 The reduction ends with a sweep that accepts nothing. That is the
 1-minimality certificate: each retained statement was rejected on the very
 candidate it would be now, the final set minus its subtree.
+:func:`verify_one_minimal` re-checks it on plain sets. The exhaustive search
+behind the synthetic expectations is a tool, ``tools/gen_synthetic_corpus.py``.
 
 A sweep keeps the retained ids in one mutable set, ``kept``. Each candidate
 is a read-only view of that set minus the attempted subtree, one view that the
@@ -44,14 +46,9 @@ from __future__ import annotations
 import time
 from collections.abc import Set
 from dataclasses import dataclass
-from itertools import combinations
 
 from .model import TestCaseAst, render
 from .oracle import Oracle, baseline_signature, evaluate, verdict_accepted
-
-
-class TooLargeError(ValueError):
-    """Exhaustive search refused beyond the statement bound."""
 
 
 @dataclass(frozen=True)
@@ -237,43 +234,12 @@ def reduce_test(ast: TestCaseAst, oracle: Oracle) -> ReductionOutcome:
 def verify_one_minimal(ast: TestCaseAst, oracle: Oracle,
                        retained: frozenset[int],
                        baseline: str | None = None) -> bool:
-    """Post-hoc 1-minimality check: every single-subtree removal must not fail."""
+    """Post-hoc 1-minimality check: every single-subtree removal must not fail.
+    Candidates are plain frozensets: the check shares no code with the sweep."""
     if baseline is None:
         baseline = baseline_signature(oracle, ast)
-    within: dict[frozenset[int], bool] = {}  # ``retained`` never changes
     for node_id in retained:
-        dropped = ast.subtree_ids(node_id) & retained
-        verdict = evaluate(oracle, _Candidate(retained, dropped, within), ast)
+        verdict = evaluate(oracle, retained - ast.subtree_ids(node_id), ast)
         if verdict_accepted(verdict, baseline, oracle.match_policy):
             return False
     return True
-
-
-#: Exhaustive enumeration refuses above this many statements.
-BRUTE_FORCE_BOUND = 20
-
-
-def brute_force_minimal(ast: TestCaseAst, oracle: Oracle) -> frozenset[int]:
-    """Minimum-cardinality ancestor-closed failing subset, by enumeration.
-
-    Ties break toward the lexicographically smallest id sequence, so the
-    result is deterministic. Only usable at desk scale
-    (<= ``BRUTE_FORCE_BOUND`` statements); this is the independent oracle the
-    greedy reducer is validated against.
-    """
-    n = ast.total_statements
-    if n > BRUTE_FORCE_BOUND:
-        raise TooLargeError(
-            f"{n} statements exceed the exhaustive bound of {BRUTE_FORCE_BOUND}")
-    baseline = baseline_signature(oracle, ast)
-    ids = list(range(n))
-    for size in range(n + 1):
-        for combo in combinations(ids, size):
-            subset = frozenset(combo)
-            if not ast.is_ancestor_closed(subset):
-                continue
-            verdict = evaluate(oracle, subset, ast)
-            if verdict_accepted(verdict, baseline, oracle.match_policy):
-                return subset
-    # The full set fails by precondition, so this is unreachable.
-    raise AssertionError("no failing subset found despite failing baseline")

@@ -8,9 +8,12 @@ instance space: bounded statement count, bounded nesting depth.
 
 from __future__ import annotations
 
+import functools
+import importlib.util
 import random
 from collections.abc import Iterable, Iterator
 from pathlib import Path
+from types import ModuleType
 
 import pytest
 
@@ -19,6 +22,7 @@ from redustat.model import TestCaseAst
 from redustat.parser import parse_test, tokenize
 
 FIXTURES = Path(__file__).resolve().parent / "fixtures"
+TOOLS = Path(__file__).resolve().parent.parent / "tools"
 
 #: Published per-category probability tables, for reference comparisons.
 PUBLISHED_PROBABILITY_TABLES = {"I": "table3.csv", "II": "table4.csv"}
@@ -109,6 +113,15 @@ def ancestor_closure(ast: TestCaseAst, ids: Iterable[int]) -> frozenset[int]:
     for node_id in list(closed):
         closed.update(ancestors(ast, node_id))
     return frozenset(closed)
+
+
+@functools.cache
+def load_tool(name: str) -> ModuleType:
+    """Import ``tools/<name>.py``, which the package does not ship."""
+    spec = importlib.util.spec_from_file_location(name, TOOLS / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def derive_probability_table(records: list[dict]) -> list[tuple[str, float, float]]:

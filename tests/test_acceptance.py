@@ -10,11 +10,14 @@ from pathlib import Path
 
 from redustat.corpus import load_corpus_config, run_corpus
 from redustat.oracle import ScriptedOracle, VerdictStatus, evaluate
-from redustat.reducer import brute_force_minimal, reduce_test, verify_one_minimal
+from redustat.reducer import reduce_test, verify_one_minimal
 from redustat.replicate import replicate_from_fixtures
 from redustat.stats import StatsMethod, shapiro_wilk, wilcoxon_signed_rank
 
-from conftest import derive_probability_table, published_probability_rows, random_ast
+from conftest import (derive_probability_table, load_tool, published_probability_rows,
+                      random_ast)
+
+brute_force_minimal = load_tool("gen_synthetic_corpus").brute_force_minimal
 
 SYNTHETIC = Path(__file__).resolve().parent.parent / "src" / "redustat" / "data" / "synthetic"
 

@@ -16,6 +16,8 @@ from redustat.corpus import (
     run_corpus,
 )
 from redustat.metrics import CSV_COLUMNS, EmptyCorpusError
+from redustat.model import render
+from redustat.oracle import MatchPolicy, OracleVerdict, VerdictStatus
 from redustat.reducer import reduce_test
 
 REPO = Path(__file__).resolve().parent.parent
@@ -703,13 +705,48 @@ def test_workload_slice_calls_are_pinned(tmp_path, workload, count):
 
 #: The summed report ``oracle_calls`` of whole workloads at seed 1, the
 #: figures that ``benchmark/run.py`` reports and that no change may raise.
-WORKLOAD_CALLS = {"scripted-large": 21931, "study": 9464}
+WORKLOAD_CALLS = {"scripted-large": 21931, "command-oracle": 980, "study": 9464}
 
 
-@pytest.mark.parametrize("workload", sorted(WORKLOAD_CALLS))
+@pytest.mark.parametrize("workload", ["scripted-large", "study"])
 def test_workload_oracle_calls_are_pinned(tmp_path, workload):
     inputs = _benchmark_workloads().write_inputs(workload, 1, tmp_path, REPO)
     bundle = run_corpus(load_corpus_config(inputs.config_path))
     assert bundle.entry_errors == 0
     calls = sum(r["oracle_calls"] for r in bundle.reduction_reports)
     assert calls == WORKLOAD_CALLS[workload]
+
+
+class _StandinModel:
+    """In-process oracle over the benchmark's Python model of its stand-in
+    test run: exit 1 fails with one signature, exit 0 passes, any other exit
+    is Invalid. No process is spawned."""
+
+    match_policy = MatchPolicy.SAME_SIGNATURE
+
+    def __init__(self, standin_exit, keys):
+        self.standin_exit = standin_exit
+        self.keys = keys
+
+    def verdict(self, retained, ast):
+        code = self.standin_exit(render(ast, retained), self.keys)
+        if code == 1:
+            return OracleVerdict(VerdictStatus.FAIL, "standin")
+        return OracleVerdict(VerdictStatus.PASS if code == 0 else VerdictStatus.INVALID)
+
+
+def test_command_workload_oracle_calls_are_pinned(tmp_path, monkeypatch):
+    workloads = _benchmark_workloads()
+    monkeypatch.setitem(sys.modules, "workloads", workloads)  # checks imports it by name
+    spec = importlib.util.spec_from_file_location("bench_checks",
+                                                  REPO / "benchmark" / "checks.py")
+    checks = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(checks)
+    inputs = workloads.write_inputs("command-oracle", 1, tmp_path, REPO)
+    entries = load_corpus_config(inputs.config_path).entries
+    assert [entry.name for entry in entries] == [test.name for test in inputs.tests]
+    calls = sum(reduce_test(entry.load_ast(),
+                            _StandinModel(checks.standin_exit, test.marker_keys())
+                            ).oracle_calls
+                for entry, test in zip(entries, inputs.tests))
+    assert calls == WORKLOAD_CALLS["command-oracle"]

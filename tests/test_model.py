@@ -16,7 +16,12 @@ from redustat.model import (
 )
 from redustat.parser import parse_test
 
-from conftest import ancestor_closure, ancestors, random_ast, token_texts
+from conftest import ancestor_closure, ancestors, load_tool, random_ast, token_texts
+
+
+def is_ancestor_closed(ast, ids):
+    """The exhaustive search's test: a set is closed when it is its own closure."""
+    return load_tool("gen_synthetic_corpus").ancestor_closure(ast, ids) == ids
 
 
 def test_category_is_decided_by_kind_alone():
@@ -194,8 +199,20 @@ def test_subtree_ids_and_ancestors():
     assert ast.subtree_ids(2) == {2, 3}
     assert list(ancestors(ast, 3)) == [2, 0]
     assert ancestor_closure(ast, {3}) == {0, 2, 3}
-    assert ast.is_ancestor_closed({0, 2, 3})
-    assert not ast.is_ancestor_closed({2, 3})
+    assert is_ancestor_closed(ast, frozenset({0, 2, 3}))
+    assert not is_ancestor_closed(ast, frozenset({2, 3}))
+
+
+def test_closure_check_agrees_with_parent_membership():
+    rng = random.Random(11)
+    for _ in range(300):
+        ast = random_ast(rng)
+        ids = sorted(ast.all_ids())
+        subset = frozenset(rng.sample(ids, rng.randint(0, len(ids))))
+        for candidate in (subset, ancestor_closure(ast, subset)):
+            parents = [ast.statements[i].parent for i in candidate]
+            parents_kept = all(p is None or p in candidate for p in parents)
+            assert is_ancestor_closed(ast, candidate) is parents_kept
 
 
 def test_construction_rejects_bad_ids():

@@ -34,15 +34,13 @@ from redustat.oracle import (
     verdict_accepted,
 )
 from redustat.parser import parse_test
-from redustat.reducer import (
-    TooLargeError,
-    _Candidate,
-    brute_force_minimal,
-    reduce_test,
-    verify_one_minimal,
-)
+from redustat.reducer import _Candidate, reduce_test, verify_one_minimal
 
-from conftest import ancestor_closure, random_ast, token_texts
+from conftest import ancestor_closure, load_tool, random_ast, token_texts
+
+# The exhaustive reference search lives with the generator it feeds.
+brute_force_minimal = load_tool("gen_synthetic_corpus").brute_force_minimal
+TooLargeError = load_tool("gen_synthetic_corpus").TooLargeError
 
 
 def scripted(*sets, blockers=()):

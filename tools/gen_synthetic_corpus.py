@@ -1,11 +1,13 @@
 #!/usr/bin/env python3
 """Regenerate the shipped synthetic corpus and its pinned expected metrics.
 
-The expected records come from exhaustive search (brute_force_minimal), not
-from the greedy reducer, so the pinned CSV is an independent target the
-reducer must hit. Every entry uses a single-failure-set scripted oracle: for
-those the minimum failing set is unique (the ancestor closure of the failure
-set), hence the expectation is well-defined.
+The expected records come from the exhaustive search defined here,
+``brute_force_minimal``, not from the greedy reducer, so the pinned CSV is an
+independent target the reducer must hit. The search is a reference check and
+not part of the installed package; the tests load it from this file. Every
+entry uses a single-failure-set scripted oracle: for those the minimum failing
+set is unique (the ancestor closure of the failure set), hence the expectation
+is well-defined.
 
 Deterministic: fixed seed, stable templates. Run from the repo root:
 
@@ -16,17 +18,24 @@ from __future__ import annotations
 
 import json
 import random
+from itertools import combinations
 from pathlib import Path
 
 from redustat.metrics import compute_metrics, records_to_csv
 from redustat.model import Category, TestCaseAst, count_categories
-from redustat.oracle import ScriptedOracle
+from redustat.oracle import (Oracle, ScriptedOracle, baseline_signature, evaluate,
+                             verdict_accepted)
 from redustat.parser import parse_test
-from redustat.reducer import brute_force_minimal
 
 OUT = Path(__file__).resolve().parent.parent / "src" / "redustat" / "data" / "synthetic"
 PROJECTS = ("synthetic-alpha", "synthetic-beta", "synthetic-gamma")
 MAX_STATEMENTS = 18
+#: Exhaustive enumeration refuses above this many statements.
+BRUTE_FORCE_BOUND = 20
+
+
+class TooLargeError(ValueError):
+    """Exhaustive search refused beyond the statement bound."""
 
 
 def ancestor_closure(ast: TestCaseAst, ids: frozenset[int]) -> frozenset[int]:
@@ -37,6 +46,32 @@ def ancestor_closure(ast: TestCaseAst, ids: frozenset[int]) -> frozenset[int]:
             closed.add(node_id)
             node_id = ast.statements[node_id].parent
     return frozenset(closed)
+
+
+def brute_force_minimal(ast: TestCaseAst, oracle: Oracle) -> frozenset[int]:
+    """Minimum-cardinality ancestor-closed failing subset, by enumeration.
+
+    Ties break toward the lexicographically smallest id sequence, so the
+    result is deterministic. Only usable at desk scale
+    (<= ``BRUTE_FORCE_BOUND`` statements); this is the independent oracle the
+    greedy reducer is validated against.
+    """
+    n = ast.total_statements
+    if n > BRUTE_FORCE_BOUND:
+        raise TooLargeError(
+            f"{n} statements exceed the exhaustive bound of {BRUTE_FORCE_BOUND}")
+    baseline = baseline_signature(oracle, ast)
+    ids = list(range(n))
+    for size in range(n + 1):
+        for combo in combinations(ids, size):
+            subset = frozenset(combo)
+            if ancestor_closure(ast, subset) != subset:
+                continue  # not ancestor-closed
+            verdict = evaluate(oracle, subset, ast)
+            if verdict_accepted(verdict, baseline, oracle.match_policy):
+                return subset
+    # The full set fails by precondition, so this is unreachable.
+    raise AssertionError("no failing subset found despite failing baseline")
 
 
 def leaf(rng: random.Random, k: int) -> str:
