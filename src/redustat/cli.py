@@ -3,7 +3,8 @@
 Subcommands:
 
 - ``redustat reduce <test> --oracle-cmd <tpl>``: reduce one failing test with
-  an external command oracle and print (or write) the reduction report.
+  an external command oracle and print (or write) the reduction report. The
+  test and oracle are read as a one-entry corpus: the report is that entry's.
 - ``redustat corpus <config>``: run a configured corpus of reductions and
   write the report bundle.
 - ``redustat replicate --table I|II [--fixture <csv>]``: recompute the
@@ -20,16 +21,9 @@ import argparse
 import sys
 from pathlib import Path
 
-from .corpus import load_corpus_config, run_corpus
-from .ingest import ingest_tree
+from .corpus import CorpusEntry, load_corpus_config, run_corpus
 from .metrics import NUMBER_COLUMNS, format_percent, percent_samples, read_records_csv
-from .oracle import (
-    MatchPolicy,
-    OracleConfig,
-    OriginalDoesNotFailError,
-    OracleSpawnError,
-)
-from .parser import parse_test
+from .oracle import MatchPolicy, OriginalDoesNotFailError, OracleSpawnError
 from .reducer import reduce_test
 from .replicate import replicate_from_fixtures
 from .reports import dump_reduction_report
@@ -106,19 +100,16 @@ def _cmd_reduce(args) -> int:
     if out and (out.is_dir() or not out.absolute().parent.is_dir()):
         raise ValueError(f"--out {args.out!r} must name a file in an existing directory")
     path = Path(args.test)
-    text = path.read_text(encoding="utf-8")
-    if path.suffix == ".json":
-        ast = ingest_tree(text)
-    else:
-        ast = parse_test(text, test_name=path.stem)
-    oracle = OracleConfig(
-        command_template=args.oracle_cmd,
-        workdir=args.workdir,
-        timeout_ms=args.timeout,
-        fail_exit_codes=frozenset(int(c) for c in args.fail_exit_codes.split(",")),
-        signature_pattern=args.signature_pattern,
-        match_policy=MatchPolicy(args.policy),
-    )
+    # A reduction is a corpus entry without a bundle. The exit codes are a lazy
+    # map, parsed as the oracle is built: a test that cannot be read is reported first.
+    entry = CorpusEntry(name=path.stem, project="", test_path=path,
+                        is_tree_document=path.suffix == ".json",
+                        oracle_spec={"mode": "command", "command_template": args.oracle_cmd,
+                                     "workdir": args.workdir, "timeout_ms": args.timeout,
+                                     "fail_exit_codes": map(int, args.fail_exit_codes.split(",")),
+                                     "signature_pattern": args.signature_pattern})
+    ast = entry.load_ast()
+    oracle = entry.build_oracle(MatchPolicy(args.policy))
     outcome = reduce_test(ast, oracle)
     report = dump_reduction_report(outcome.to_report())
     if out:

@@ -74,8 +74,7 @@ class CorpusEntry:
     def load_ast(self) -> TestCaseAst:
         text = self.test_path.read_text(encoding="utf-8")
         if self.is_tree_document:
-            ast = ingest_tree(text, project=self.project)
-            return ast
+            return ingest_tree(text, project=self.project)
         return parse_test(text, test_name=self.name, project=self.project)
 
     def build_oracle(self, policy: MatchPolicy) -> Oracle:
@@ -266,7 +265,8 @@ def run_corpus(config: CorpusConfig) -> ReportBundle:
     statuses, records, reports = zip(*results)
     records = [record for record in records if record is not None]
     if not records:
-        raise EmptyCorpusError("every corpus entry failed; nothing to report")
+        raise EmptyCorpusError("every corpus entry failed; nothing to report" + "".join(
+            f"\n{status.name}: {status.error}" for status in statuses))
     bundle = assemble_bundle(
         corpus_name=config.corpus_name,
         records=records,

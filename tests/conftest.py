@@ -1,5 +1,6 @@
 """Shared helpers: deterministic random test-body generation, token
-comparison, ancestor closure and the published probability tables.
+comparison, ancestor closure, the published probability tables and the
+import of repository files that the package does not ship.
 
 The generator mirrors the supported grammar (leaves plus braced tree
 statements) so parser, reducer and acceptance tests all draw from the same
@@ -11,6 +12,7 @@ from __future__ import annotations
 import functools
 import importlib.util
 import random
+import sys
 from collections.abc import Iterable, Iterator
 from pathlib import Path
 from types import ModuleType
@@ -22,7 +24,7 @@ from redustat.model import TestCaseAst
 from redustat.parser import parse_test, tokenize
 
 FIXTURES = Path(__file__).resolve().parent / "fixtures"
-TOOLS = Path(__file__).resolve().parent.parent / "tools"
+REPO = Path(__file__).resolve().parent.parent
 
 #: Published per-category probability tables, for reference comparisons.
 PUBLISHED_PROBABILITY_TABLES = {"I": "table3.csv", "II": "table4.csv"}
@@ -116,10 +118,13 @@ def ancestor_closure(ast: TestCaseAst, ids: Iterable[int]) -> frozenset[int]:
 
 
 @functools.cache
-def load_tool(name: str) -> ModuleType:
-    """Import ``tools/<name>.py``, which the package does not ship."""
-    spec = importlib.util.spec_from_file_location(name, TOOLS / f"{name}.py")
-    module = importlib.util.module_from_spec(spec)
+def load_module(name: str, path: str) -> ModuleType:
+    """Import the repository file ``path`` (relative to the root), which the
+    package does not ship, as module ``name``. It is registered in
+    ``sys.modules`` before it runs, since dataclasses look their module up
+    there and other files may import it by name."""
+    spec = importlib.util.spec_from_file_location(name, REPO / path)
+    module = sys.modules[name] = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
 

@@ -14,10 +14,11 @@ from redustat.reducer import reduce_test, verify_one_minimal
 from redustat.replicate import replicate_from_fixtures
 from redustat.stats import StatsMethod, shapiro_wilk, wilcoxon_signed_rank
 
-from conftest import (derive_probability_table, load_tool, published_probability_rows,
+from conftest import (derive_probability_table, load_module, published_probability_rows,
                       random_ast)
 
-brute_force_minimal = load_tool("gen_synthetic_corpus").brute_force_minimal
+brute_force_minimal = load_module("gen_synthetic_corpus",
+                                  "tools/gen_synthetic_corpus.py").brute_force_minimal
 
 SYNTHETIC = Path(__file__).resolve().parent.parent / "src" / "redustat" / "data" / "synthetic"
 

@@ -1,20 +1,13 @@
-import importlib.util
 import json
 import subprocess
 from pathlib import Path
 
+from conftest import load_module
+
 ROOT = Path(__file__).resolve().parents[1]
 
-
-def _load(name, path):
-    spec = importlib.util.spec_from_file_location(name, path)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
-bench = _load("bench_tool", ROOT / "tools" / "bench.py")
-tracing = _load("bench_tracing", ROOT / "benchmark" / "tracing.py")
+bench = load_module("bench_tool", "tools/bench.py")
+tracing = load_module("bench_tracing", "benchmark/tracing.py")
 
 PARENT = [1.00, 1.01, 0.99, 1.02, 1.00, 0.98, 1.01, 1.00, 0.99, 1.03]
 

@@ -148,6 +148,37 @@ def test_reduce_with_non_utf8_test_output(tmp_path):
                  "--policy", "any", "--out", str(tmp_path / "r.json")]) == 0
 
 
+THREE = "a();\nfoo(a);\nb();\n"
+THREE_TREE = {"test_name": "three", "source": THREE, "roots": [0, 1, 2], "nodes": [
+    {"id": i, "kind": "ExpressionStmt", "has_children": False, "span": span, "children": []}
+    for i, span in enumerate(([0, 4], [5, 12], [13, 17]))]}
+
+
+@pytest.mark.parametrize("suffix, key", [(".java", "test_file"), (".json", "tree_file")])
+def test_reduce_writes_the_report_of_a_one_entry_corpus(tmp_path, suffix, key):
+    test = tmp_path / f"three{suffix}"
+    test.write_text(THREE if suffix == ".java" else json.dumps(THREE_TREE), encoding="utf-8")
+    # Fails with a fingerprint for the default pattern while foo(a); is kept.
+    oracle_cmd = ("""sh -c 'grep -qF "foo(a);" "$1" || exit 0; """
+                  """echo "java.lang.AssertionError: kept"; exit 1' sh {candidate}""")
+    assert main(["reduce", str(test), "--oracle-cmd", oracle_cmd,
+                 "--out", str(tmp_path / "reduced.json")]) == 0
+    config = tmp_path / "corpus.json"
+    config.write_text(json.dumps({
+        "corpus_name": "one", "output_dir": "out", "policy": "same",
+        "entries": [{"name": "three", key: test.name,
+                     "oracle": {"mode": "command", "command_template": oracle_cmd,
+                                "signature_pattern": DEFAULT_SIGNATURE_PATTERN}}]}),
+        encoding="utf-8")
+    assert main(["corpus", str(config)]) == 0
+    reduced = json.loads((tmp_path / "reduced.json").read_text(encoding="utf-8"))
+    entry = json.loads((tmp_path / "out" / "reductions" / "three.json").read_text("utf-8"))
+    assert (reduced["retained"], reduced["oracle_calls"]) == ([1], 5)
+    assert reduced["baseline_signature"] == "java.lang.AssertionError: kept"
+    del reduced["wall_time_ms"], entry["wall_time_ms"]
+    assert reduced == entry
+
+
 def test_corpus_command(tmp_path, capsys):
     out = tmp_path / "bundle"
     code = main(["corpus", str(SYNTHETIC / "corpus.json"),

@@ -1,5 +1,4 @@
 import hashlib
-import importlib.util
 import json
 import shlex
 import sys
@@ -19,6 +18,8 @@ from redustat.metrics import CSV_COLUMNS, EmptyCorpusError
 from redustat.model import render
 from redustat.oracle import MatchPolicy, OracleVerdict, VerdictStatus
 from redustat.reducer import reduce_test
+
+from conftest import load_module
 
 REPO = Path(__file__).resolve().parent.parent
 SYNTHETIC = REPO / "src" / "redustat" / "data" / "synthetic"
@@ -528,10 +529,16 @@ def test_corpus_whose_every_entry_fails_is_an_error(tmp_path, capsys):
     entries = [entry("never", "a();\n", [[7]], tmp_path),
                entry("bad-syntax", "e(;\n", [[0]], tmp_path)]
     path = write_corpus(tmp_path, entries)
-    with pytest.raises(EmptyCorpusError, match="^every corpus entry failed; nothing to report$"):
+    # The message says why each entry failed, in the form corpus prints after ERROR.
+    message = ("every corpus entry failed; nothing to report\n"
+               "never: OriginalDoesNotFailError: original test does not fail (verdict: Pass)\n"
+               "bad-syntax: StatementSyntaxError: statement not terminated by ';' "
+               "(line 1, column 1)")
+    with pytest.raises(EmptyCorpusError) as raised:
         run_corpus(load_corpus_config(path))
+    assert str(raised.value) == message
     assert main(["corpus", str(path)]) == 2
-    assert capsys.readouterr().err == "error: every corpus entry failed; nothing to report\n"
+    assert capsys.readouterr().err == f"error: {message}\n"
     assert not (tmp_path / "out").exists()
 
 
@@ -664,15 +671,8 @@ def test_synthetic_corpus_oracle_calls_are_pinned(tmp_path):
     assert_reports_certify_themselves(config, reports)
 
 
-def _benchmark_workloads():
-    """The benchmark's input generators, imported without changing them."""
-    name = "bench_workloads"
-    if name not in sys.modules:  # its dataclasses look the module up by name
-        spec = importlib.util.spec_from_file_location(
-            name, REPO / "benchmark" / "workloads.py")
-        sys.modules[name] = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(sys.modules[name])
-    return sys.modules[name]
+#: The benchmark's input generators, imported without changing them.
+bench_workloads = load_module("bench_workloads", "benchmark/workloads.py")
 
 
 #: Total oracle calls and the digest of the retained sets on fixed-seed slices
@@ -692,7 +692,7 @@ WORKLOAD_SLICES = {
 
 @pytest.mark.parametrize("workload, count", sorted(WORKLOAD_SLICES))
 def test_workload_slice_calls_are_pinned(tmp_path, workload, count):
-    inputs = _benchmark_workloads().write_inputs(workload, 1, tmp_path, REPO, count)
+    inputs = bench_workloads.write_inputs(workload, 1, tmp_path, REPO, count)
     config = load_corpus_config(inputs.config_path)
     bundle = run_corpus(config)
     assert bundle.entry_errors == 0
@@ -710,7 +710,7 @@ WORKLOAD_CALLS = {"scripted-large": 21931, "command-oracle": 980, "study": 9464}
 
 @pytest.mark.parametrize("workload", ["scripted-large", "study"])
 def test_workload_oracle_calls_are_pinned(tmp_path, workload):
-    inputs = _benchmark_workloads().write_inputs(workload, 1, tmp_path, REPO)
+    inputs = bench_workloads.write_inputs(workload, 1, tmp_path, REPO)
     bundle = run_corpus(load_corpus_config(inputs.config_path))
     assert bundle.entry_errors == 0
     calls = sum(r["oracle_calls"] for r in bundle.reduction_reports)
@@ -736,13 +736,9 @@ class _StandinModel:
 
 
 def test_command_workload_oracle_calls_are_pinned(tmp_path, monkeypatch):
-    workloads = _benchmark_workloads()
-    monkeypatch.setitem(sys.modules, "workloads", workloads)  # checks imports it by name
-    spec = importlib.util.spec_from_file_location("bench_checks",
-                                                  REPO / "benchmark" / "checks.py")
-    checks = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(checks)
-    inputs = workloads.write_inputs("command-oracle", 1, tmp_path, REPO)
+    monkeypatch.setitem(sys.modules, "workloads", bench_workloads)  # checks imports it by name
+    checks = load_module("bench_checks", "benchmark/checks.py")
+    inputs = bench_workloads.write_inputs("command-oracle", 1, tmp_path, REPO)
     entries = load_corpus_config(inputs.config_path).entries
     assert [entry.name for entry in entries] == [test.name for test in inputs.tests]
     calls = sum(reduce_test(entry.load_ast(),

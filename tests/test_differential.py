@@ -1,22 +1,11 @@
-import importlib.util
 import json
 import shutil
-import sys
 from pathlib import Path
 
-_TOOLS = Path(__file__).resolve().parents[1] / "tools"
+from conftest import load_module
 
-
-def _load(name):
-    spec = importlib.util.spec_from_file_location(name, _TOOLS / f"{name}.py")
-    module = importlib.util.module_from_spec(spec)
-    sys.modules[name] = module  # parser_fuzz imports differential by name
-    spec.loader.exec_module(module)
-    return module
-
-
-differential = _load("differential")
-parser_fuzz = _load("parser_fuzz")
+differential = load_module("differential", "tools/differential.py")
+parser_fuzz = load_module("parser_fuzz", "tools/parser_fuzz.py")  # imports differential
 
 
 def _output_tree(root: Path, created: str, wall_ms: float) -> Path:

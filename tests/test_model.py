@@ -16,12 +16,13 @@ from redustat.model import (
 )
 from redustat.parser import parse_test
 
-from conftest import ancestor_closure, ancestors, load_tool, random_ast, token_texts
+from conftest import ancestor_closure, ancestors, load_module, random_ast, token_texts
 
 
 def is_ancestor_closed(ast, ids):
     """The exhaustive search's test: a set is closed when it is its own closure."""
-    return load_tool("gen_synthetic_corpus").ancestor_closure(ast, ids) == ids
+    gen_synthetic_corpus = load_module("gen_synthetic_corpus", "tools/gen_synthetic_corpus.py")
+    return gen_synthetic_corpus.ancestor_closure(ast, ids) == ids
 
 
 def test_category_is_decided_by_kind_alone():

@@ -36,11 +36,12 @@ from redustat.oracle import (
 from redustat.parser import parse_test
 from redustat.reducer import _Candidate, reduce_test, verify_one_minimal
 
-from conftest import ancestor_closure, load_tool, random_ast, token_texts
+from conftest import ancestor_closure, load_module, random_ast, token_texts
 
 # The exhaustive reference search lives with the generator it feeds.
-brute_force_minimal = load_tool("gen_synthetic_corpus").brute_force_minimal
-TooLargeError = load_tool("gen_synthetic_corpus").TooLargeError
+gen_synthetic_corpus = load_module("gen_synthetic_corpus", "tools/gen_synthetic_corpus.py")
+brute_force_minimal = gen_synthetic_corpus.brute_force_minimal
+TooLargeError = gen_synthetic_corpus.TooLargeError
 
 
 def scripted(*sets, blockers=()):

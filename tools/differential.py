@@ -2,11 +2,15 @@
 """Check that the working tree writes the same files as revision ``REV``.
 
 ``REV``'s ``src/`` is taken from local git (``git archive``) into a
-temporary directory. Inputs are generated once, with the working tree's
-``benchmark/workloads.py``: the three benchmark workloads at seeds 1 to 3.
+temporary directory. Inputs are generated once: the three benchmark
+workloads at seeds 1 to 3, with the working tree's ``benchmark/workloads.py``,
+and the test files that ``reduce`` reads.
 Both trees' ``redustat`` commands then run on the same inputs:
 
 - ``corpus`` on the shipped synthetic corpus and on each workload;
+- ``reduce --out`` on the README's three-statement test (``a();``,
+  ``foo(a);``, ``b();``) with its grep oracle, once as a ``.java`` file and
+  once as the same test in a ``.json`` tree document;
 - ``replicate --table I`` and ``--table II``, each writing its bundle;
 - the README's ``stats --csv <synthetic metrics.csv> --cols pntrs,ptrs
   --test wilcoxon``.
@@ -26,6 +30,7 @@ from __future__ import annotations
 
 import argparse
 import difflib
+import json
 import os
 import re
 import subprocess
@@ -36,6 +41,13 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 WORKLOADS = ("scripted-large", "command-oracle", "study")
 SEEDS = (1, 2, 3)
+#: The README's three-statement test, as a test file and as a tree document.
+THREE = "a();\nfoo(a);\nb();\n"
+THREE_TREE = {"test_name": "three", "source": THREE, "roots": [0, 1, 2], "nodes": [
+    {"id": i, "kind": "ExpressionStmt", "has_children": False, "span": span, "children": []}
+    for i, span in enumerate(([0, 4], [5, 12], [13, 17]))]}
+#: The README's oracle: the test fails while it holds ``foo(a);``.
+THREE_ORACLE = """sh -c '! grep -qF "foo(a);" "$1"' sh {candidate}"""
 #: A JSON key whose value changes from run to run, with that value.
 VOLATILE = re.compile(rb'("(?:created_utc|wall_time_ms)": )("[^"]*"|[^,}\s]+)')
 DIFF_LINES = 20
@@ -57,8 +69,9 @@ def checkout(rev: str, dest: Path) -> Path:
     return dest
 
 
-def write_all_inputs(base: Path) -> list[tuple[str, Path]]:
-    """``(name, corpus config)`` of every corpus run, inputs written once."""
+def write_all_inputs(base: Path) -> list[tuple[str, list[str]]]:
+    """``(name, arguments)`` of every ``corpus`` and ``reduce`` run, inputs
+    written once. Each run writes under its name."""
     sys.path.insert(0, str(ROOT / "benchmark"))
     from workloads import synthetic_dir, write_inputs
 
@@ -69,21 +82,28 @@ def write_all_inputs(base: Path) -> list[tuple[str, Path]]:
         for seed in SEEDS:
             inputs = write_inputs(workload, seed, base / f"{workload}-{seed}", ROOT)
             configs.append((f"{workload}-{seed}", inputs.config_path))
-    return configs
+    commands = [(name, ["corpus", str(config), "--output-dir", name])
+                for name, config in configs]
+    (base / "three.java").write_text(THREE, encoding="utf-8")
+    (base / "three.json").write_text(json.dumps(THREE_TREE), encoding="utf-8")
+    for suffix in ("java", "json"):
+        commands.append((f"reduce-{suffix}", ["reduce", str(base / f"three.{suffix}"),
+                                              "--oracle-cmd", THREE_ORACLE,
+                                              "--out", f"reduce-{suffix}.json"]))
+    return commands
 
 
-def run_tree(tree: Path, configs: list[tuple[str, Path]], out: Path) -> None:
-    """Run every command with ``tree``'s program, writing under ``out``."""
+def run_tree(tree: Path, commands: list[tuple[str, list[str]]], out: Path) -> None:
+    """Run ``commands``, then ``replicate`` and ``stats``, with ``tree``'s
+    program, writing under ``out``."""
     env = dict(os.environ, PYTHONPATH=str(tree / "src"))
     found = subprocess.run([sys.executable, "-c", "import redustat; print(redustat.__file__)"],
                            env=env, check=True, capture_output=True, text=True).stdout
     if not Path(found.strip()).is_relative_to(tree / "src"):
         raise DifferentialError(f"{tree / 'src'} is not the redustat that runs: {found}")
-    commands = [(name, ["corpus", str(config), "--output-dir", name])
-                for name, config in configs]
-    commands += [(f"replicate-{table}", ["replicate", "--table", table,
-                                         "--output-dir", f"replicate-{table}"])
-                 for table in ("I", "II")]
+    commands = commands + [(f"replicate-{table}", ["replicate", "--table", table,
+                                                   "--output-dir", f"replicate-{table}"])
+                           for table in ("I", "II")]
     commands.append(("stats", ["stats", "--csv", "synthetic/metrics.csv",
                                "--cols", "pntrs,ptrs", "--test", "wilcoxon"]))
     out.mkdir()
@@ -131,10 +151,10 @@ def main(argv: list[str] | None = None) -> int:
         scratch = Path(scratch)
         try:
             old_tree = checkout(args.rev, scratch / "rev")
-            configs = write_all_inputs(scratch / "inputs")
+            commands = write_all_inputs(scratch / "inputs")
             for label, tree in (("old", old_tree), ("new", ROOT)):
                 print(f"running {label} ({tree})", file=sys.stderr)
-                run_tree(tree, configs, scratch / label)
+                run_tree(tree, commands, scratch / label)
         except DifferentialError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 2
