@@ -1,57 +1,15 @@
 """redustat: statement-level failing-test reduction and replication statistics.
 
-The pieces compose in one line each: parse or ingest a test into a statement
-tree, point an oracle at it, reduce, and feed the outcomes to the metrics and
-statistics layers. See the README for the CLI surface.
+The namespace holds the README example's four names, which parse a test,
+script its oracle, reduce it and count its removals, and
+``load_corpus_config``. Every other name comes from its module (see the
+README's Layout), and the CLI is ``redustat.cli``.
 """
 
-from .model import (
-    Category,
-    NotAncestorClosedError,
-    StatementNode,
-    StmtKind,
-    TestCaseAst,
-    count_categories,
-    render,
-)
-from .parser import StatementSyntaxError, UnsupportedConstructError, parse_test
-from .ingest import CycleError, SchemaError, ingest_tree
-from .oracle import (
-    MatchPolicy,
-    OracleConfig,
-    OracleVerdict,
-    OriginalDoesNotFailError,
-    OracleSpawnError,
-    ScriptedOracle,
-    VerdictStatus,
-    baseline_signature,
-    evaluate,
-    normalize_signature,
-)
-from .reducer import ReductionOutcome, reduce_test, verify_one_minimal
-from .metrics import (
-    CountMismatchError,
-    EmptyCorpusError,
-    aggregate_means,
-    compute_metrics,
-    metrics_from_reduction,
-    read_records_csv,
-)
-from .stats import (
-    AllZeroDifferencesError,
-    ConstantInputError,
-    StatsMethod,
-    StatsResult,
-    shapiro_wilk,
-    wilcoxon_signed_rank,
-)
-from .reports import (
-    ReportBundle,
-    boxplot_table,
-    five_number_summary,
-    stats_block,
-)
-from .replicate import replicate_from_fixtures
-from .corpus import CorpusConfig, CorpusEntry, load_corpus_config, run_corpus
+from .parser import parse_test
+from .oracle import ScriptedOracle
+from .reducer import reduce_test
+from .metrics import metrics_from_reduction
+from .corpus import load_corpus_config
 
 __version__ = "0.1.0"

@@ -175,7 +175,7 @@ def _cmd_stats(args) -> int:
         if len(columns) != 2:
             raise ValueError("wilcoxon needs exactly two columns")
         result = wilcoxon_signed_rank(samples[0], samples[1])
-    print(f"method={result.method.value} statistic={result.statistic:g} "
+    print(f"method={result.method} statistic={result.statistic:g} "
           f"p={result.p_value:.6g} n={result.n_used} "
           f"ties={'yes' if result.ties_present else 'no'} "
           f"zeros_dropped={result.zeros_dropped}")

@@ -36,7 +36,8 @@ names: not empty, ``.`` or ``..``, without a path separator or NUL, and at
 most 255 bytes with the ``.json``. Names and projects are written to UTF-8
 files, so neither may hold a lone surrogate. A config that breaks these rules
 is refused before any entry runs, so no output file is touched. So is an
-``output_dir`` whose nearest existing path is not a directory.
+``output_dir`` whose nearest existing path, or whose ``reductions``, is not a
+directory.
 """
 
 from __future__ import annotations
@@ -243,7 +244,7 @@ def run_corpus(config: CorpusConfig) -> ReportBundle:
     Per-entry failures are recorded in the bundle, not raised; callers turn
     ``bundle.entry_errors`` into a nonzero exit code.
     """
-    existing = config.output_dir
+    existing = config.output_dir / "reductions"
     while not os.path.lexists(existing) and existing != existing.parent:
         existing = existing.parent
     if not existing.is_dir():

@@ -137,7 +137,10 @@ def percent_samples(records: Sequence[dict],
                     columns: Sequence[str]) -> list[list[float]]:
     """One sample per column, over the records where every one of ``columns``
     is defined, with percent columns in percent units as the tables print
-    them, so the statistical tests see the ties the tables show."""
+    them. Rows read from a table hold its two-decimal cells, so the tests see
+    the ties the table shows; a corpus run's records hold full-precision
+    fractions, so its ``stats.json`` can differ from ``redustat stats`` on its
+    own ``metrics.csv`` (see the README)."""
     rows = [row for record in records
             if None not in (row := [record[column] for column in columns])]
     return [[row[i] * 100.0 if column in PERCENT_COLUMNS else row[i] for row in rows]

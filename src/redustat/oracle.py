@@ -23,7 +23,8 @@ Invalid. Invalid is deliberately distinct from a spawn failure: a candidate
 that cannot even be attempted aborts the reduction instead of being treated
 as "not failing". Settings that no run could honour are refused with
 ``ValueError`` when the :class:`OracleConfig` is built, before any command
-runs: a ``signature_pattern`` that is not a regular expression, a
+runs: a ``match_policy`` that is not a :class:`MatchPolicy`, a
+``signature_pattern`` that is not a regular expression, a
 ``command_template`` that is not a string, that shlex cannot split or that
 names no command, a ``workdir`` that is not a string, a ``timeout_ms`` that is
 not a positive ``int`` or exceeds 2**31 - 1 (the largest wait the poll
@@ -140,6 +141,8 @@ class OracleConfig:
     match_policy: MatchPolicy = MatchPolicy.SAME_SIGNATURE
 
     def __post_init__(self) -> None:
+        if type(self.match_policy) is not MatchPolicy:
+            raise ValueError("match_policy must be a MatchPolicy")
         if not isinstance(self.workdir, str):
             raise ValueError("workdir must be a string")
         # A bool is an int, but true is no timeout.

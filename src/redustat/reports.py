@@ -112,7 +112,7 @@ def _try(test: Callable[..., StatsResult], *samples: list[float]) -> dict:
         return {"skipped": "all differences zero"}
     except StatsError as exc:
         return {"skipped": str(exc)}
-    return {**asdict(result), "method": result.method.value}
+    return asdict(result)
 
 
 def _claim_line(number: int, description: str, comparison: str,

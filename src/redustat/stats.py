@@ -27,15 +27,8 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass
-from enum import Enum
 from statistics import NormalDist
 from typing import Sequence
-
-
-class StatsMethod(Enum):
-    SHAPIRO_WILK = "ShapiroWilk"
-    WILCOXON_EXACT = "WilcoxonSignedRankExact"
-    WILCOXON_NORMAL_APPROX = "WilcoxonSignedRankNormalApprox"
 
 
 class StatsError(ValueError):
@@ -66,12 +59,13 @@ class ConstantInputError(StatsError):
 class StatsResult:
     """Outcome of a hypothesis test.
 
+    ``method`` is the name that ``stats.json`` and ``redustat stats`` print.
     ``statistic`` is W for Shapiro-Wilk and V (positive-rank sum) for
     Wilcoxon. ``n_used`` is the number of pairs left after zero removal for
     Wilcoxon, and the sample size for Shapiro-Wilk.
     """
 
-    method: StatsMethod
+    method: str
     statistic: float
     p_value: float
     n_used: int
@@ -103,10 +97,10 @@ def wilcoxon_signed_rank(x: Sequence[float], y: Sequence[float]) -> StatsResult:
 
     if n < 50 and not ties and zeros_dropped == 0:
         p = _exact_two_sided_p(int(round(v)), n)
-        method = StatsMethod.WILCOXON_EXACT
+        method = "WilcoxonSignedRankExact"
     else:
         p = _approx_two_sided_p(v, n, magnitudes)
-        method = StatsMethod.WILCOXON_NORMAL_APPROX
+        method = "WilcoxonSignedRankNormalApprox"
     return StatsResult(method=method, statistic=v, p_value=p, n_used=n,
                        ties_present=ties, zeros_dropped=zeros_dropped)
 
@@ -185,7 +179,7 @@ def shapiro_wilk(x: Sequence[float]) -> StatsResult:
 
     w = _w_statistic(data)
     p = _w_p_value(w, n)
-    return StatsResult(method=StatsMethod.SHAPIRO_WILK, statistic=w,
+    return StatsResult(method="ShapiroWilk", statistic=w,
                        p_value=p, n_used=n)
 
 

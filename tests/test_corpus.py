@@ -1,7 +1,11 @@
 import hashlib
 import json
+import os
 import shlex
+import signal
+import subprocess
 import sys
+import time
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
@@ -542,7 +546,9 @@ def test_corpus_whose_every_entry_fails_is_an_error(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
-@pytest.mark.parametrize("output_dir", ["file", "file/sub"])
+# "bundle" is an earlier output directory whose reductions is a file: the
+# bundle files would be rewritten before reductions/ could be made.
+@pytest.mark.parametrize("output_dir", ["file", "file/sub", "bundle"])
 def test_output_dir_under_a_file_is_refused_before_any_entry_runs(tmp_path, capsys,
                                                                   output_dir):
     marker = tmp_path / "oracle-ran"
@@ -551,11 +557,58 @@ def test_output_dir_under_a_file_is_refused_before_any_entry_runs(tmp_path, caps
                             "command_template": f"touch {shlex.quote(str(marker))}"}
     path = write_corpus(tmp_path, entries, policy="any")
     (tmp_path / "file").write_text("kept", encoding="utf-8")
+    earlier = b"test,project\nt01,p\n"
+    (tmp_path / "bundle").mkdir()
+    (tmp_path / "bundle" / "metrics.csv").write_bytes(earlier)
+    (tmp_path / "bundle" / "reductions").write_text("kept", encoding="utf-8")
     code = main(["corpus", str(path), "--output-dir", str(tmp_path / output_dir)])
     assert code == 2
     assert not marker.exists()  # refused before any oracle run
     assert "is not a directory" in capsys.readouterr().err
     assert (tmp_path / "file").read_text(encoding="utf-8") == "kept"
+    assert (tmp_path / "bundle" / "metrics.csv").read_bytes() == earlier
+    assert sorted(p.name for p in (tmp_path / "bundle").iterdir()) == ["metrics.csv",
+                                                                       "reductions"]
+
+
+@pytest.mark.skipif(os.name != "posix", reason="sends SIGINT and runs sh")
+def test_ctrl_c_at_parallelism_1_ends_the_run_and_its_oracle(tmp_path):
+    """SIGINT during the baseline oracle run ends ``corpus`` at once, kills
+    the run's process group and writes nothing.
+
+    At ``parallelism`` 2 the executor still waits for the running entries,
+    oracle calls included, before the interruption ends the run; that stays
+    open and is not tested here."""
+    pids = tmp_path / "pids"
+    entries = [entry("cmd", "c();\nd();\n", [[1]], tmp_path)]
+    script = f"echo $$ >> {shlex.quote(str(pids))}; sleep 30; exit 1"
+    entries[0]["oracle"] = {"mode": "command",
+                            "command_template": f"sh -c {shlex.quote(script)} sh {{candidate}}"}
+    path = write_corpus(tmp_path, entries, policy="any")
+    env = {**os.environ, "PYTHONPATH": str(REPO / "src")}
+    run = subprocess.Popen([sys.executable, "-m", "redustat.cli", "corpus", str(path)],
+                           env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
+    try:
+        deadline = time.monotonic() + 20
+        while not (pids.exists() and pids.read_text().strip()):
+            assert run.poll() is None and time.monotonic() < deadline
+            time.sleep(0.02)
+        run.send_signal(signal.SIGINT)
+        assert run.wait(timeout=5) == -signal.SIGINT
+    finally:
+        run.kill()
+        run.wait()
+    recorded = [int(pid) for pid in pids.read_text().split()]
+    deadline = time.monotonic() + 5
+    while recorded:
+        try:
+            os.kill(recorded[-1], 0)
+        except ProcessLookupError:
+            recorded.pop()
+            continue
+        assert time.monotonic() < deadline, f"oracle process {recorded[-1]} outlived the run"
+        time.sleep(0.02)
+    assert not (tmp_path / "out").exists()
 
 
 def test_command_oracle_entries_run_in_scratch_dirs(tmp_path, monkeypatch):

@@ -319,15 +319,20 @@ def test_config_validation():
     ({"fail_exit_codes": frozenset({"1"})}, "fail_exit_codes must hold integers"),
     ({"fail_exit_codes": frozenset({True})}, "fail_exit_codes must hold integers"),
     ({"fail_exit_codes": frozenset({1.0})}, "fail_exit_codes must hold integers"),
+    ({"match_policy": "any"}, "match_policy must be a MatchPolicy"),
+    ({"match_policy": "same"}, "match_policy must be a MatchPolicy"),
+    ({"match_policy": None}, "match_policy must be a MatchPolicy"),
 ], ids=["workdir-null", "workdir-int", "timeout-bool", "timeout-float",
         "timeout-str", "timeout-zero", "timeout-above-c-int", "exit-code-str",
-        "exit-code-bool", "exit-code-float"])
+        "exit-code-bool", "exit-code-float", "policy-any-str", "policy-same-str",
+        "policy-null"])
 def test_config_field_types_are_checked(setting, message):
-    # true would be a 1 ms timeout, and "1" would never equal an exit code,
-    # so every failing run would read as Invalid.
+    # true would be a 1 ms timeout, "1" would never equal an exit code, so
+    # every failing run would read as Invalid, and "any" would be judged as
+    # SameSignature, with no signature_pattern required.
     with pytest.raises(ValueError, match=f"^{message}$"):
-        OracleConfig(command_template="x", match_policy=MatchPolicy.ANY_FAILURE,
-                     **setting)
+        OracleConfig(**{"command_template": "x", "match_policy": MatchPolicy.ANY_FAILURE,
+                        **setting})
 
 
 # -- signature normalization and policy ----------------------------------------

@@ -8,6 +8,7 @@ import random
 import subprocess
 import sys
 import textwrap
+import types
 from ast import literal_eval
 from pathlib import Path
 from unittest import mock
@@ -276,6 +277,16 @@ def test_readme_library_example_prints_what_its_comments_say():
                        if line.startswith("#"))
     assert literal_eval(row) == literal_eval(comment[:comment.index("}") + 1])
     assert token_texts("\n".join(source)) == token_texts("if (ready) { explode(x); }")
+
+
+def test_package_namespace_holds_the_readme_names_and_load_corpus_config():
+    import redustat
+
+    public = {name for name, value in vars(redustat).items()
+              if not name.startswith("_") and not isinstance(value, types.ModuleType)}
+    assert public == {"load_corpus_config", "metrics_from_reduction", "parse_test",
+                      "reduce_test", "ScriptedOracle"}
+    assert redustat.__version__ == "0.1.0"
 
 
 # -- candidates as views of the retained set -----------------------------------

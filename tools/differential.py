@@ -12,8 +12,8 @@ Both trees' ``redustat`` commands then run on the same inputs:
   ``foo(a);``, ``b();``) with its grep oracle, once as a ``.java`` file and
   once as the same test in a ``.json`` tree document;
 - ``replicate --table I`` and ``--table II``, each writing its bundle;
-- the README's ``stats --csv <synthetic metrics.csv> --cols pntrs,ptrs
-  --test wilcoxon``.
+- the README's two ``stats`` lines on the synthetic ``metrics.csv``:
+  ``--cols pntrs,ptrs --test wilcoxon`` and ``--cols ptrs --test shapiro``.
 
 Every command's exit code, standard output and standard error are kept as
 files next to the bundles it writes. Each file of one tree's outputs is
@@ -94,7 +94,7 @@ def write_all_inputs(base: Path) -> list[tuple[str, list[str]]]:
 
 
 def run_tree(tree: Path, commands: list[tuple[str, list[str]]], out: Path) -> None:
-    """Run ``commands``, then ``replicate`` and ``stats``, with ``tree``'s
+    """Run ``commands``, then ``replicate`` and both ``stats``, with ``tree``'s
     program, writing under ``out``."""
     env = dict(os.environ, PYTHONPATH=str(tree / "src"))
     found = subprocess.run([sys.executable, "-c", "import redustat; print(redustat.__file__)"],
@@ -106,6 +106,8 @@ def run_tree(tree: Path, commands: list[tuple[str, list[str]]], out: Path) -> No
                            for table in ("I", "II")]
     commands.append(("stats", ["stats", "--csv", "synthetic/metrics.csv",
                                "--cols", "pntrs,ptrs", "--test", "wilcoxon"]))
+    commands.append(("stats-shapiro", ["stats", "--csv", "synthetic/metrics.csv",
+                                       "--cols", "ptrs", "--test", "shapiro"]))
     out.mkdir()
     for name, args in commands:
         # Relative output paths, so that printed paths match between trees.
