@@ -26,7 +26,7 @@ from .metrics import NUMBER_COLUMNS, format_percent, percent_samples, read_recor
 from .oracle import MatchPolicy, OriginalDoesNotFailError, OracleSpawnError
 from .reducer import reduce_test
 from .replicate import replicate_from_fixtures
-from .reports import dump_reduction_report
+from .reports import _rewrite, dump_reduction_report
 from .stats import shapiro_wilk, wilcoxon_signed_rank
 
 #: Matches the first line mentioning a Java-ish failure; group 0 is the signature.
@@ -113,7 +113,7 @@ def _cmd_reduce(args) -> int:
     outcome = reduce_test(ast, oracle)
     report = dump_reduction_report(outcome.to_report())
     if out:
-        out.write_text(report, encoding="utf-8")
+        _rewrite(out, report)
     else:
         sys.stdout.write(report)
     print(f"retained {len(outcome.retained)}/{ast.total_statements} statements "

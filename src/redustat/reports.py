@@ -15,6 +15,11 @@ produces. Written to a directory it becomes:
   it); the other JSON files are indented. Writing removes every other
   ``reductions/*.json``, so no report outlives its entry's failure or removal
 
+Each file is written over in place, never cut to zero: a longer file is cut
+to the new length first, then the text goes in one write call. A process
+stopped mid-rewrite leaves no new bytes followed by an old tail; a power loss
+may leave any mix of old and new bytes.
+
 Identical inputs give byte-identical files, except ``report.json`` whose
 provenance carries a timestamp (and, after live reductions, wall times in
 the per-test reduction reports).
@@ -24,6 +29,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
 from dataclasses import asdict, dataclass, field
 from datetime import datetime, timezone
 from pathlib import Path
@@ -201,12 +207,10 @@ class ReportBundle:
     def write(self, output_dir: str | Path) -> Path:
         out = Path(output_dir)
         out.mkdir(parents=True, exist_ok=True)
-        (out / "metrics.csv").write_text(records_to_csv(self.records),
-                                         encoding="utf-8")
-        (out / "means.csv").write_text(summary_to_csv(self.means),
-                                       encoding="utf-8")
-        (out / "stats.json").write_text(_dump_json(self.stats), encoding="utf-8")
-        (out / "boxplot.json").write_text(_dump_json(self.boxplot), encoding="utf-8")
+        _rewrite(out / "metrics.csv", records_to_csv(self.records))
+        _rewrite(out / "means.csv", summary_to_csv(self.means))
+        _rewrite(out / "stats.json", _dump_json(self.stats))
+        _rewrite(out / "boxplot.json", _dump_json(self.boxplot))
         report = {
             "corpus_name": self.corpus_name,
             "provenance": self.provenance,
@@ -215,7 +219,7 @@ class ReportBundle:
             "records": len(self.records),
             "errors": self.entry_errors,
         }
-        (out / "report.json").write_text(_dump_json(report), encoding="utf-8")
+        _rewrite(out / "report.json", _dump_json(report))
         reductions = out / "reductions"
         written = set()
         if self.reduction_reports:
@@ -223,7 +227,7 @@ class ReportBundle:
             names = [status.name for status in self.entry_statuses if status.ok]
             for name, reduction in zip(names, self.reduction_reports, strict=True):
                 path = reductions / f"{name}.json"
-                path.write_text(dump_reduction_report(reduction), encoding="utf-8")
+                _rewrite(path, dump_reduction_report(reduction))
                 written.add(path.name)
         # A report left by an earlier run, of an entry that failed this time
         # or is no longer configured, would contradict report.json.
@@ -260,6 +264,21 @@ def make_provenance(source: str) -> dict:
         "config_hash": hashlib.sha256(source.encode("utf-8")).hexdigest(),
         "created_utc": datetime.now(timezone.utc).isoformat(),
     }
+
+
+def _rewrite(path: str | Path, text: str) -> None:
+    """Write ``text`` over ``path`` in UTF-8. Only a longer file is cut, and
+    before the write; a new file, a pipe or /dev/null has size 0. A new file
+    is created as ``open(path, "w")`` would create it."""
+    data = text.encode("utf-8")
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
+    try:
+        if os.fstat(fd).st_size > len(data):
+            os.ftruncate(fd, len(data))
+        while data:
+            data = data[os.write(fd, data):]
+    finally:
+        os.close(fd)
 
 
 def _dump_json(payload) -> str:

@@ -57,6 +57,28 @@ def test_reduce_command(failing_test, tmp_path, capsys):
     assert json.loads(printed).keys() == report.keys()
 
 
+def test_reduce_out_over_a_longer_file_leaves_only_the_report(failing_test, tmp_path):
+    test, oracle_cmd = failing_test
+    out = tmp_path / "report.json"
+    out.write_text("{}\n" * 50_000, encoding="utf-8")
+    assert main(["reduce", str(test), "--oracle-cmd", oracle_cmd, "--out", str(out)]) == 0
+    text = out.read_text(encoding="utf-8")
+    assert text.count("\n") == 1 and text.endswith("\n")
+    assert json.loads(text)["retained"] == [2]
+
+
+@pytest.mark.skipif(os.name != "posix", reason="writes to /dev/null and /dev/stdout")
+def test_reduce_out_to_a_device_or_a_pipe_writes_the_report(failing_test):
+    test, oracle_cmd = failing_test
+    assert main(["reduce", str(test), "--oracle-cmd", oracle_cmd, "--out", os.devnull]) == 0
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parent.parent / "src")}
+    done = subprocess.run([sys.executable, "-m", "redustat.cli", "reduce", str(test),
+                           "--oracle-cmd", oracle_cmd, "--out", "/dev/stdout"],
+                          env=env, capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stdout)["retained"] == [2]
+
+
 def test_reduce_passing_test_exits_1(tmp_path, failing_test):
     _, oracle_cmd = failing_test
     passing = tmp_path / "passing.java"

@@ -1,4 +1,6 @@
+import errno
 import json
+import os
 import statistics
 
 import pytest
@@ -7,6 +9,7 @@ from redustat.metrics import compute_metrics
 from redustat.replicate import replicate_from_fixtures
 from redustat.reports import (
     EntryStatus,
+    _rewrite,
     assemble_bundle,
     boxplot_table,
     five_number_summary,
@@ -137,22 +140,68 @@ def _bundle_with_traces(records, trace_length):
 
 def test_rewriting_a_bundle_leaves_no_stale_bytes(tmp_path):
     records = replicate_from_fixtures("I").records
-    _bundle_with_traces(records, 400).write(tmp_path / "reused")
-    second = _bundle_with_traces(records[:4], 20)
-    second.write(tmp_path / "reused")
-    second.write(tmp_path / "fresh")
-    fresh = sorted(p.relative_to(tmp_path / "fresh")
-                   for p in (tmp_path / "fresh").rglob("*") if p.is_file())
-    reused = sorted(p.relative_to(tmp_path / "reused")
-                    for p in (tmp_path / "reused").rglob("*") if p.is_file())
-    assert reused == fresh
-    for name in fresh:
-        assert (tmp_path / "reused" / name).read_bytes() == \
-            (tmp_path / "fresh" / name).read_bytes()
-    for status, report in zip(second.entry_statuses, second.reduction_reports):
-        text = (tmp_path / "reused" / "reductions" / f"{status.name}.json").read_text()
-        assert text.count("\n") == 1 and text.endswith("\n")
-        assert json.loads(text) == report
+    small = (records[:4], 20)
+    large = (records, 400)
+    for direction, (first, second) in {"shrink": (large, small),
+                                       "grow": (small, large)}.items():
+        reused = tmp_path / direction / "reused"
+        fresh = tmp_path / direction / "fresh"
+        _bundle_with_traces(*first).write(reused)
+        bundle = _bundle_with_traces(*second)
+        bundle.write(reused)
+        bundle.write(fresh)
+        fresh_files = sorted(p.relative_to(fresh) for p in fresh.rglob("*") if p.is_file())
+        reused_files = sorted(p.relative_to(reused) for p in reused.rglob("*") if p.is_file())
+        assert reused_files == fresh_files
+        for name in fresh_files:
+            assert (reused / name).read_bytes() == (fresh / name).read_bytes()
+        for status, report in zip(bundle.entry_statuses, bundle.reduction_reports):
+            text = (reused / "reductions" / f"{status.name}.json").read_text()
+            assert text.count("\n") == 1 and text.endswith("\n")
+            assert json.loads(text) == report
+
+
+def test_an_interrupted_rewrite_leaves_the_old_bytes_cut_to_the_new_length(
+        tmp_path, monkeypatch):
+    path = tmp_path / "report.json"
+    old = "".join(f"{i:04d}\n" for i in range(200))
+    new = "short\n"
+    path.write_text(old, encoding="utf-8")
+    sizes = []
+
+    def fail_once(fd, data):
+        sizes.append(os.fstat(fd).st_size)
+        monkeypatch.undo()
+        raise OSError(errno.EIO, "interrupted")
+
+    monkeypatch.setattr(os, "write", fail_once)
+    with pytest.raises(OSError, match="interrupted"):
+        _rewrite(path, new)
+    assert sizes == [len(new)]  # cut before the first write
+    assert path.read_text(encoding="utf-8") == old[:len(new)]
+
+
+def test_a_rewrite_loops_on_short_writes(tmp_path, monkeypatch):
+    path = tmp_path / "metrics.csv"
+    path.write_text("x" * 50, encoding="utf-8")
+    write = os.write
+    monkeypatch.setattr(os, "write", lambda fd, data: write(fd, data[:3]))
+    _rewrite(path, "é,1\n" * 7)
+    monkeypatch.undo()
+    assert path.read_text(encoding="utf-8") == "é,1\n" * 7
+
+
+def test_a_rewritten_file_is_created_as_open_creates_it(tmp_path):
+    previous = os.umask(0o027)
+    try:
+        _rewrite(tmp_path / "rewritten", "text\n")
+        with open(tmp_path / "opened", "w", encoding="utf-8") as handle:
+            handle.write("text\n")
+    finally:
+        os.umask(previous)
+    assert (tmp_path / "rewritten").stat().st_mode == (tmp_path / "opened").stat().st_mode
+    with pytest.raises(IsADirectoryError):
+        _rewrite(tmp_path, "text\n")
 
 
 def test_empty_summaries_are_rejected():
