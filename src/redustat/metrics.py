@@ -42,16 +42,8 @@ from .model import TestCaseAst, count_categories
 from .reducer import ReductionOutcome
 
 
-class CountMismatchError(ValueError):
-    """Removal counts inconsistent with category totals."""
-
-
 class EmptyCorpusError(ValueError):
     """An aggregate was requested over zero records."""
-
-
-class CsvSchemaError(ValueError):
-    """A metrics CSV does not match the expected column layout."""
 
 
 #: Fixed CSV column order of the metrics schema.
@@ -74,17 +66,16 @@ def compute_metrics(counts: tuple[int, int, int], removal: tuple[int, int],
     """Build a record from category totals and per-category removal counts.
 
     ``counts`` is ``(stmts, ntn, tn)``; ``removal`` is ``(antrs, atrs)``.
-    Raises :class:`CountMismatchError` when the counts cannot have come from
-    one test.
+    Raises ``ValueError`` when the counts cannot have come from one test.
     """
     stmts, ntn, tn = counts
     antrs, atrs = removal
     if stmts != ntn + tn:
-        raise CountMismatchError(f"stmts={stmts} != ntn+tn={ntn + tn}")
+        raise ValueError(f"stmts={stmts} != ntn+tn={ntn + tn}")
     if not 0 <= antrs <= ntn:
-        raise CountMismatchError(f"antrs={antrs} outside [0, ntn={ntn}]")
+        raise ValueError(f"antrs={antrs} outside [0, ntn={ntn}]")
     if not 0 <= atrs <= tn:
-        raise CountMismatchError(f"atrs={atrs} outside [0, tn={tn}]")
+        raise ValueError(f"atrs={atrs} outside [0, tn={tn}]")
     ars = antrs + atrs
     return {
         "test": test_name,
@@ -190,17 +181,17 @@ def read_records_csv(text: str) -> list[dict]:
     try:
         header = next(reader)
     except StopIteration:
-        raise CsvSchemaError("empty CSV") from None
+        raise ValueError("empty CSV") from None
     if tuple(header) != CSV_COLUMNS:
-        raise CsvSchemaError(f"expected columns {','.join(CSV_COLUMNS)}, "
-                             f"found {','.join(header)}")
+        raise ValueError(f"expected columns {','.join(CSV_COLUMNS)}, "
+                         f"found {','.join(header)}")
     records = []
     for line_no, row in enumerate(reader, start=2):
         if not row:
             continue
         if len(row) != len(CSV_COLUMNS):
-            raise CsvSchemaError(f"line {line_no}: expected "
-                                 f"{len(CSV_COLUMNS)} cells, found {len(row)}")
+            raise ValueError(f"line {line_no}: expected "
+                             f"{len(CSV_COLUMNS)} cells, found {len(row)}")
         record = dict(zip(CSV_COLUMNS, row))
         try:
             for column in PERCENT_COLUMNS:
@@ -211,7 +202,7 @@ def read_records_csv(text: str) -> list[dict]:
                 if column not in PERCENT_COLUMNS:
                     record[column] = int(record[column])
         except ValueError as exc:
-            raise CsvSchemaError(f"line {line_no}: {exc}") from None
+            raise ValueError(f"line {line_no}: {exc}") from None
         for column, (removed, total) in _PROBABILITIES.items():
             if record[column] is None and record[total] > 0:
                 record[column] = record[removed] / record[total]

@@ -72,15 +72,6 @@ class ModelError(ValueError):
     """Violation of a statement-tree invariant."""
 
 
-class NotAncestorClosedError(ModelError):
-    """A retained set kept a node while dropping one of its ancestors."""
-
-    def __init__(self, node_id: int):
-        self.node_id = node_id
-        super().__init__(f"retained set is not ancestor-closed: node {node_id} "
-                         f"is retained but an ancestor is not")
-
-
 class StatementNode(NamedTuple):
     """One statement in a test body.
 
@@ -175,7 +166,8 @@ def render(ast: TestCaseAst, retained: Iterable[int]) -> str:
     for node_id in kept:
         node = ast.statements[node_id]
         if node.parent is not None and node.parent not in kept:
-            raise NotAncestorClosedError(node_id)
+            raise ModelError(f"retained set is not ancestor-closed: node {node_id} "
+                             f"is retained but an ancestor is not")
 
     # Removal is subtree-wise, so deleting the spans of *maximal* removed
     # nodes (those whose parent survives) deletes exactly the removed set.

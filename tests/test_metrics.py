@@ -4,8 +4,6 @@ import pytest
 
 from redustat.metrics import (
     CSV_COLUMNS,
-    CountMismatchError,
-    CsvSchemaError,
     EmptyCorpusError,
     aggregate_means,
     compute_metrics,
@@ -52,14 +50,15 @@ def test_empty_test_is_all_zero():
 
 
 def test_count_mismatch_errors():
-    with pytest.raises(CountMismatchError):
-        compute_metrics((10, 5, 4), (0, 0))
-    with pytest.raises(CountMismatchError):
-        compute_metrics((10, 8, 2), (9, 0))
-    with pytest.raises(CountMismatchError):
-        compute_metrics((10, 8, 2), (0, 3))
-    with pytest.raises(CountMismatchError):
-        compute_metrics((10, 8, 2), (-1, 0))
+    for counts, removal, message in [
+        ((10, 5, 4), (0, 0), "stmts=10 != ntn+tn=9"),
+        ((10, 8, 2), (9, 0), "antrs=9 outside [0, ntn=8]"),
+        ((10, 8, 2), (0, 3), "atrs=3 outside [0, tn=2]"),
+        ((10, 8, 2), (-1, 0), "antrs=-1 outside [0, ntn=8]"),
+    ]:
+        with pytest.raises(ValueError) as excinfo:
+            compute_metrics(counts, removal)
+        assert str(excinfo.value) == message
 
 
 def test_metrics_match_recomputation_from_reduction():
@@ -166,12 +165,14 @@ def test_a_record_is_the_csv_row():
 
 
 def test_csv_rejects_wrong_header():
-    with pytest.raises(CsvSchemaError):
+    with pytest.raises(ValueError) as excinfo:
         read_records_csv("foo,bar\n1,2\n")
+    assert str(excinfo.value) == ("expected columns " + ",".join(CSV_COLUMNS)
+                                  + ", found foo,bar")
 
 
 def test_empty_csv_text_is_a_schema_error():
-    with pytest.raises(CsvSchemaError, match="^empty CSV$"):
+    with pytest.raises(ValueError, match="^empty CSV$"):
         read_records_csv("")
 
 
@@ -244,7 +245,7 @@ def test_summary_csv_text_of_synthetic_corpus(tmp_path):
      "line 2: not a finite number: '1e999'"),
 ])
 def test_csv_schema_error_messages(row, message):
-    with pytest.raises(CsvSchemaError) as excinfo:
+    with pytest.raises(ValueError) as excinfo:
         read_records_csv(",".join(CSV_COLUMNS) + "\n" + row + "\n")
     assert str(excinfo.value) == message
 

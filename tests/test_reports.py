@@ -61,6 +61,11 @@ def test_mutants_ptrs_summary_from_fixture():
     assert "prtrs" in table
 
 
+def test_boxplot_table_of_no_records_is_refused():
+    with pytest.raises(ValueError, match="^no records to summarize$"):
+        boxplot_table([])
+
+
 def test_stats_block_on_single_record_marks_insufficient_n():
     record = compute_metrics((10, 8, 2), (4, 1), test_name="solo")
     block = stats_block([record])
