@@ -30,16 +30,11 @@ class SchemaError(ValueError):
     """Document does not match the tree-ingestion schema."""
 
     def __init__(self, message: str, path: str):
-        self.path = path
         super().__init__(f"{message} (at {path})")
 
 
 class CycleError(ValueError):
     """Child references form a cycle."""
-
-    def __init__(self, node_id: int):
-        self.node_id = node_id
-        super().__init__(f"child references form a cycle through node {node_id}")
 
 
 _KIND_BY_NAME = {kind.value: kind for kind in StmtKind}
@@ -62,8 +57,8 @@ def _require(mapping: Any, key: str, expected: type, path: str) -> Any:
 def ingest_tree(document: dict | str, project: str = "") -> TestCaseAst:
     """Build a :class:`TestCaseAst` from a tree document (dict or JSON text).
 
-    Raises :class:`SchemaError` with the offending path on malformed
-    documents and :class:`CycleError` when child references loop.
+    Raises :class:`SchemaError`, with the offending path in its message, on
+    malformed documents and :class:`CycleError` when child references loop.
 
     Ingest checks the schema, the field types, that the ids are the range
     ``0..n-1``, that roots and children name nodes, and that each node has at
@@ -180,4 +175,4 @@ def _check_acyclic(order: list[int], parents: list[int | None]) -> None:
             node = parents[node]
     for node in order:
         if walk_of[node] < 0:
-            raise CycleError(node)
+            raise CycleError(f"child references form a cycle through node {node}")

@@ -83,11 +83,6 @@ class OracleSpawnError(RuntimeError):
 class OriginalDoesNotFailError(ValueError):
     """The unreduced test does not fail; reduction must not start."""
 
-    def __init__(self, verdict: "OracleVerdict"):
-        self.verdict = verdict
-        super().__init__(
-            f"original test does not fail (verdict: {verdict.status.value})")
-
 
 @dataclass(frozen=True)
 class OracleVerdict:
@@ -244,7 +239,8 @@ def baseline_signature(oracle: Oracle, original: TestCaseAst) -> str:
     """
     verdict = evaluate(oracle, original.all_ids(), original)
     if verdict.status is not VerdictStatus.FAIL:
-        raise OriginalDoesNotFailError(verdict)
+        raise OriginalDoesNotFailError(
+            f"original test does not fail (verdict: {verdict.status.value})")
     return verdict.signature
 
 

@@ -42,10 +42,6 @@ class StatementSyntaxError(ValueError):
 class UnsupportedConstructError(StatementSyntaxError):
     """Grammatically recognizable construct outside the supported subset."""
 
-    def __init__(self, construct: str, line: int, column: int):
-        self.construct = construct
-        super().__init__(f"unsupported construct '{construct}'", line, column)
-
 
 # A comment is a piece of its own, so nothing follows it in the pattern that
 # could make it extend past its end (the first "*/" or the newline).
@@ -272,7 +268,8 @@ class _Parser:
         text = self.texts[first]
         start = self._start(first)
         if text in _UNSUPPORTED_STARTERS:
-            raise UnsupportedConstructError(text, *_line_column(self.source, start))
+            raise UnsupportedConstructError(f"unsupported construct '{text}'",
+                                            *_line_column(self.source, start))
         if text == ";":
             kind = StmtKind.EMPTY
         elif text == "{":

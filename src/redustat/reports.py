@@ -57,36 +57,31 @@ SIGNIFICANCE_LEVEL = 0.05
 # -- boxplot data -------------------------------------------------------------
 
 
-def quantile(values: Sequence[float], q: float) -> float:
-    """Linear-interpolation quantile (R type 7) over unsorted values."""
-    if not values:
-        raise ValueError("quantile of empty data")
-    if not 0.0 <= q <= 1.0:
-        raise ValueError("q must be within [0, 1]")
-    data = sorted(values)
-    if len(data) == 1:
-        return data[0]
-    position = (len(data) - 1) * q
-    low = int(position)
-    frac = position - low
-    if frac == 0.0:
-        return data[low]
-    return data[low] + (data[low + 1] - data[low]) * frac
-
-
 def five_number_summary(values: Sequence[float]) -> dict:
-    """A ``boxplot.json`` column: min, quartiles, max, sorted 1.5-IQR outliers."""
+    """A ``boxplot.json`` column: min, quartiles, max, sorted 1.5-IQR outliers.
+
+    The column is sorted once. Each quartile is R's type 7: it interpolates
+    linearly between the order statistics around position ``(n - 1) * q``.
+    """
     if not values:
         raise ValueError("summary of empty data")
-    q1 = quantile(values, 0.25)
-    med = quantile(values, 0.5)
-    q3 = quantile(values, 0.75)
+    data = sorted(values)
+
+    def quartile(q: float) -> float:
+        position = (len(data) - 1) * q
+        low = int(position)
+        frac = position - low
+        if frac == 0.0:
+            return data[low]
+        return data[low] + (data[low + 1] - data[low]) * frac
+
+    q1, med, q3 = quartile(0.25), quartile(0.5), quartile(0.75)
     iqr = q3 - q1
     lo = q1 - 1.5 * iqr
     hi = q3 + 1.5 * iqr
-    outliers = sorted(v for v in values if v < lo or v > hi)
-    return {"min": min(values), "q1": q1, "median": med, "q3": q3,
-            "max": max(values), "outliers": outliers}
+    outliers = [v for v in data if v < lo or v > hi]
+    return {"min": data[0], "q1": q1, "median": med, "q3": q3,
+            "max": data[-1], "outliers": outliers}
 
 
 def boxplot_table(records: Sequence[dict]) -> dict[str, dict]:

@@ -101,7 +101,7 @@ def test_invalid_json_text_is_schema_error():
     with pytest.raises(SchemaError) as info:
         ingest_tree('{"test_name": ')
     assert str(info.value).startswith("not valid JSON: ")
-    assert info.value.path == "$"
+    assert str(info.value).endswith(" (at $)")
 
 
 # JSON text may escape a lone surrogate, but no candidate holding one can be
@@ -116,7 +116,6 @@ def test_source_that_utf8_cannot_encode_is_schema_error(document):
     with pytest.raises(SchemaError) as info:
         ingest_tree(document)
     assert str(info.value) == "source cannot be written as UTF-8 (at $.source)"
-    assert info.value.path == "$.source"
 
 
 def test_missing_field_reports_path():
@@ -328,7 +327,6 @@ def test_root_past_the_first_that_names_no_node_keeps_its_error():
     with pytest.raises(SchemaError) as info:
         ingest_tree(doc(_six_nodes(), [0, 5, 6]))
     assert str(info.value) == "root ids must reference nodes (at $.roots[2])"
-    assert info.value.path == "$.roots[2]"
 
 
 class _Id(IntEnum):
@@ -397,7 +395,6 @@ def _loop_case(order, roots=(0,)):
 def test_loop_is_reported_at_its_first_listed_node(document, node_id):
     with pytest.raises(CycleError) as info:
         ingest_tree(document)
-    assert info.value.node_id == node_id
     assert str(info.value) == f"child references form a cycle through node {node_id}"
 
 
@@ -421,7 +418,7 @@ def _colour_search(order, children_of):
             stack[-1] = (node_id, child_idx + 1)
             child = children[child_idx]
             if color[child] == GREY:
-                raise CycleError(child)
+                raise CycleError(f"child references form a cycle through node {child}")
             if color[child] == WHITE:
                 color[child] = GREY
                 stack.append((child, 0))
@@ -431,7 +428,7 @@ def _reported_loop_node(search, *args):
     try:
         search(*args)
     except CycleError as exc:
-        return exc.node_id
+        return int(str(exc).rpartition(" node ")[2])
     return None
 
 

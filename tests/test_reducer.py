@@ -42,7 +42,6 @@ from conftest import ancestor_closure, load_module, random_ast, token_texts
 # The exhaustive reference search lives with the generator it feeds.
 gen_synthetic_corpus = load_module("gen_synthetic_corpus", "tools/gen_synthetic_corpus.py")
 brute_force_minimal = gen_synthetic_corpus.brute_force_minimal
-TooLargeError = gen_synthetic_corpus.TooLargeError
 
 
 def scripted(*sets, blockers=()):
@@ -165,7 +164,8 @@ def test_brute_force_tie_breaks_lexicographically(flat_five):
 
 def test_brute_force_bound():
     ast = parse_test("\n".join(f"s{i}();" for i in range(21)))
-    with pytest.raises(TooLargeError):
+    with pytest.raises(ValueError,
+                       match=r"^21 statements exceed the exhaustive bound of 20$"):
         brute_force_minimal(ast, scripted({0}))
 
 

@@ -13,7 +13,6 @@ from redustat.reports import (
     assemble_bundle,
     boxplot_table,
     five_number_summary,
-    quantile,
     stats_block,
 )
 
@@ -22,6 +21,8 @@ def test_identical_values_collapse_the_box():
     summary = five_number_summary([4.2] * 9)
     assert summary == {"min": 4.2, "q1": 4.2, "median": 4.2, "q3": 4.2,
                        "max": 4.2, "outliers": []}
+    assert five_number_summary([7.5]) == {"min": 7.5, "q1": 7.5, "median": 7.5, "q3": 7.5,
+                                          "max": 7.5, "outliers": []}
 
 
 def test_evenly_spaced_five_vector():
@@ -36,9 +37,10 @@ def test_quantiles_match_library_inclusive_method():
     # interpolation scheme; use it as the independent check
     data = [3.0, 1.0, 4.0, 1.5, 9.0, 2.6, 5.3, 5.8, 9.7, 0.1, 6.2]
     q1, q2, q3 = statistics.quantiles(data, n=4, method="inclusive")
-    assert quantile(data, 0.25) == pytest.approx(q1, abs=1e-12)
-    assert quantile(data, 0.5) == pytest.approx(q2, abs=1e-12)
-    assert quantile(data, 0.75) == pytest.approx(q3, abs=1e-12)
+    summary = five_number_summary(data)
+    assert summary["q1"] == pytest.approx(q1, abs=1e-12)
+    assert summary["median"] == pytest.approx(q2, abs=1e-12)
+    assert summary["q3"] == pytest.approx(q3, abs=1e-12)
 
 
 def test_outliers_beyond_whiskers():
@@ -210,9 +212,5 @@ def test_a_rewritten_file_is_created_as_open_creates_it(tmp_path):
 
 
 def test_empty_summaries_are_rejected():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^summary of empty data$"):
         five_number_summary([])
-    with pytest.raises(ValueError):
-        quantile([], 0.5)
-    with pytest.raises(ValueError):
-        quantile([1.0], 1.5)

@@ -8,9 +8,16 @@ and the test files that ``reduce`` reads.
 Both trees' ``redustat`` commands then run on the same inputs:
 
 - ``corpus`` on the shipped synthetic corpus and on each workload;
+- ``corpus`` on a config whose entries fail, one for each entry error (the
+  original test passes, an unsupported construct, a syntax error, a schema
+  error, a loop in a tree document, an unknown oracle key), beside one entry
+  that reduces, so each error line and the exit code 1 are compared;
 - ``reduce --out`` on the README's three-statement test (``a();``,
   ``foo(a);``, ``b();``) with its grep oracle, once as a ``.java`` file and
   once as the same test in a ``.json`` tree document;
+- ``reduce`` on that test with an oracle that passes it (exit 1), and on a
+  test that holds a ``switch`` (exit 2). Neither command names
+  ``{candidate}``, whose temporary path would differ in the printed error;
 - ``replicate --table I`` and ``--table II``, each writing its bundle;
 - the README's two ``stats`` lines on the synthetic ``metrics.csv``:
   ``--cols pntrs,ptrs --test wilcoxon`` and ``--cols ptrs --test shapiro``.
@@ -48,6 +55,27 @@ THREE_TREE = {"test_name": "three", "source": THREE, "roots": [0, 1, 2], "nodes"
     for i, span in enumerate(([0, 4], [5, 12], [13, 17]))]}
 #: The README's oracle: the test fails while it holds ``foo(a);``.
 THREE_ORACLE = """sh -c '! grep -qF "foo(a);" "$1"' sh {candidate}"""
+#: The failing corpus: its test files, and its entries as ``(name, file, oracle)``.
+FAILING_FILES = {
+    "three.java": THREE,
+    "switch.java": "a();\nswitch (x) { }\n",
+    "syntax.java": "a();\nif (a) foo();\n",
+    "schema.json": json.dumps({**THREE_TREE, "roots": [0, 1, 3]}),
+    "loop.json": json.dumps({"test_name": "loop", "source": THREE, "roots": [0], "nodes": [
+        {"id": 0, "kind": "ExpressionStmt", "has_children": False, "span": [0, 4],
+         "children": []},
+        {"id": 1, "kind": "Block", "has_children": True, "span": [5, 17], "children": [2]},
+        {"id": 2, "kind": "Block", "has_children": True, "span": [6, 16], "children": [1]}]}),
+}
+FAILING_ENTRIES = (
+    ("ok", "three.java", {"failure_sets": [[1]]}),
+    ("original-passes", "three.java", {"failure_sets": [[7]]}),
+    ("unsupported", "switch.java", {"failure_sets": [[0]]}),
+    ("syntax", "syntax.java", {"failure_sets": [[0]]}),
+    ("schema", "schema.json", {"failure_sets": [[0]]}),
+    ("loop", "loop.json", {"failure_sets": [[0]]}),
+    ("unknown-key", "three.java", {"failure_sets": [[1]], "retries": 2}),
+)
 #: A JSON key whose value changes from run to run, with that value.
 VOLATILE = re.compile(rb'("(?:created_utc|wall_time_ms)": )("[^"]*"|[^,}\s]+)')
 DIFF_LINES = 20
@@ -82,6 +110,17 @@ def write_all_inputs(base: Path) -> list[tuple[str, list[str]]]:
         for seed in SEEDS:
             inputs = write_inputs(workload, seed, base / f"{workload}-{seed}", ROOT)
             configs.append((f"{workload}-{seed}", inputs.config_path))
+    failing = base / "failing"
+    failing.mkdir()
+    for name, text in FAILING_FILES.items():
+        (failing / name).write_text(text, encoding="utf-8")
+    entries = [{"name": name, "project": "failing",
+                "tree_file" if file.endswith(".json") else "test_file": file,
+                "oracle": oracle}
+               for name, file, oracle in FAILING_ENTRIES]
+    (failing / "corpus.json").write_text(
+        json.dumps({"corpus_name": "failing", "entries": entries}), encoding="utf-8")
+    configs.append(("failing", failing / "corpus.json"))
     commands = [(name, ["corpus", str(config), "--output-dir", name])
                 for name, config in configs]
     (base / "three.java").write_text(THREE, encoding="utf-8")
@@ -90,6 +129,10 @@ def write_all_inputs(base: Path) -> list[tuple[str, list[str]]]:
         commands.append((f"reduce-{suffix}", ["reduce", str(base / f"three.{suffix}"),
                                               "--oracle-cmd", THREE_ORACLE,
                                               "--out", f"reduce-{suffix}.json"]))
+    commands.append(("reduce-passes", ["reduce", str(failing / "three.java"),
+                                       "--oracle-cmd", "true"]))
+    commands.append(("reduce-switch", ["reduce", str(failing / "switch.java"),
+                                       "--oracle-cmd", "true"]))
     return commands
 
 

@@ -34,10 +34,6 @@ MAX_STATEMENTS = 18
 BRUTE_FORCE_BOUND = 20
 
 
-class TooLargeError(ValueError):
-    """Exhaustive search refused beyond the statement bound."""
-
-
 def ancestor_closure(ast: TestCaseAst, ids: frozenset[int]) -> frozenset[int]:
     """Smallest ancestor-closed superset of ``ids``."""
     closed = set()
@@ -54,11 +50,12 @@ def brute_force_minimal(ast: TestCaseAst, oracle: Oracle) -> frozenset[int]:
     Ties break toward the lexicographically smallest id sequence, so the
     result is deterministic. Only usable at desk scale
     (<= ``BRUTE_FORCE_BOUND`` statements); this is the independent oracle the
-    greedy reducer is validated against.
+    greedy reducer is validated against. Raises :class:`ValueError` above
+    that bound.
     """
     n = ast.total_statements
     if n > BRUTE_FORCE_BOUND:
-        raise TooLargeError(
+        raise ValueError(
             f"{n} statements exceed the exhaustive bound of {BRUTE_FORCE_BOUND}")
     baseline = baseline_signature(oracle, ast)
     ids = list(range(n))
