@@ -84,18 +84,25 @@ class CorpusEntry:
         spec = dict(self.oracle_spec)
         mode = spec.pop("mode", "scripted")
         oracle_types = {"scripted": ScriptedOracle, "command": OracleConfig}
-        if mode not in oracle_types:
+        if not isinstance(mode, str) or mode not in oracle_types:
             raise CorpusConfigError(f"entry {self.name!r}: unknown oracle mode {mode!r}")
         oracle_type = oracle_types[mode]
         keys = {field.name for field in fields(oracle_type)} - {"match_policy"}
         for key in spec:
             if key not in keys:
                 raise CorpusConfigError(f"entry {self.name!r}: unknown oracle key {key!r}")
-        if "failure_sets" in spec:
-            spec["failure_sets"] = tuple(frozenset(fs) for fs in spec["failure_sets"])
-        for key in ("blockers", "fail_exit_codes"):
-            if key in spec:
-                spec[key] = frozenset(spec[key])
+        # A number where a list goes, or a list where an id goes, is a
+        # TypeError here; the oracle checks the ids themselves.
+        for key in ("failure_sets", "blockers", "fail_exit_codes"):
+            if key not in spec:
+                continue
+            try:
+                spec[key] = (tuple(map(frozenset, spec[key])) if key == "failure_sets"
+                             else frozenset(spec[key]))
+            except TypeError:
+                shape = "a list of lists" if key == "failure_sets" else "a list"
+                raise CorpusConfigError(
+                    f"entry {self.name!r}: {key} must be {shape} of integers") from None
         if oracle_type is OracleConfig:
             spec["match_policy"] = policy
         return oracle_type(**spec)

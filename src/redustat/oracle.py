@@ -146,6 +146,8 @@ class OracleConfig:
         # The poll selector takes its wait as a C int of milliseconds.
         if self.timeout_ms > 2**31 - 1:
             raise ValueError("timeout_ms must be at most 2147483647")
+        if self.signature_pattern is not None and not isinstance(self.signature_pattern, str):
+            raise ValueError("signature_pattern must be a string")
         if self.match_policy is MatchPolicy.SAME_SIGNATURE and not self.signature_pattern:
             raise ValueError("signature_pattern is required under the "
                              "SameSignature policy")

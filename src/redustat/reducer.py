@@ -44,20 +44,76 @@ delta debugging.
 from __future__ import annotations
 
 import time
-from collections.abc import Set
+from array import array
+from collections.abc import Sequence, Set
 from dataclasses import dataclass
 
 from .model import TestCaseAst, render
 from .oracle import Oracle, baseline_signature, evaluate, verdict_accepted
 
 
+#: The outcome of a trace code, ``code & 3``, as ``(decision, verdict)``.
+_OUTCOMES = (("accepted", "Fail"), ("rejected", "Fail"), ("rejected", "Pass"),
+             ("rejected", "Invalid"))
+#: The outcome of a rejected verdict, by its status value. An accepted
+#: verdict is a Fail, outcome 0.
+_REJECTED = {"Fail": 1, "Pass": 2, "Invalid": 3}
+#: Each outcome's entry as ``json.dumps(..., sort_keys=True)`` writes it.
+_JSON_ENTRIES = tuple(f'{{"decision": "{decision}", "node": %d, "verdict": "{verdict}"}}'
+                      for decision, verdict in _OUTCOMES)
+
+
+def _entry(code: int) -> dict:
+    decision, verdict = _OUTCOMES[code & 3]
+    return {"node": code >> 2, "decision": decision, "verdict": verdict}
+
+
+class Trace(Sequence):
+    """The removal trace: one entry per oracle call after the baseline.
+
+    ``codes`` holds one ``node * 4 + outcome`` per attempt, in call order;
+    outcome 0 is accepted, 1, 2 and 3 rejected on a Fail (signature
+    mismatch), a Pass and an Invalid. An item reads as a fresh dict
+    ``{"node", "decision", "verdict"}`` and a slice as a list of them, so
+    changing one leaves the trace as it was.
+    """
+
+    __slots__ = ("codes",)
+
+    def __init__(self, codes: array):
+        self.codes = codes
+
+    def __len__(self) -> int:
+        return len(self.codes)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return [_entry(code) for code in self.codes[index]]
+        return _entry(self.codes[index])
+
+    def __iter__(self):
+        return map(_entry, self.codes)
+
+    def __eq__(self, other: object) -> bool:
+        if isinstance(other, Trace):
+            return self.codes == other.codes
+        return NotImplemented
+
+    def to_json(self) -> str:
+        """``json.dumps(list(self), sort_keys=True)``, written from the codes."""
+        return "[" + ", ".join([_JSON_ENTRIES[code & 3] % (code >> 2)
+                                for code in self.codes]) + "]"
+
+
 @dataclass(frozen=True)
 class ReductionOutcome:
     """The minimal test plus bookkeeping about what was removed.
 
-    Each field is the report key of its name. ``trace`` holds one entry per
-    removal attempt, in call order: ``{"node": id, "decision": "accepted" or
-    "rejected", "verdict": "Fail", "Pass" or "Invalid"}``.
+    Each field is the report key of its name. ``trace`` is a read-only
+    :class:`Trace`, one entry per removal attempt in call order. Each entry
+    reads as a fresh dict ``{"node": id, "decision": "accepted" or
+    "rejected", "verdict": "Fail", "Pass" or "Invalid"}``, and costs 8 bytes
+    while it is held.
     """
 
     test_name: str
@@ -70,7 +126,7 @@ class ReductionOutcome:
     passes: int
     baseline_signature: str
     minimal_source: str
-    trace: list[dict]
+    trace: Trace
 
     def to_report(self) -> dict:
         """JSON-ready per-test reduction report."""
@@ -155,10 +211,10 @@ def _sweep_order(ast: TestCaseAst) -> list[int]:
 
 def _sweep(ast: TestCaseAst, oracle: Oracle, baseline: str, order: list[int],
            retained: frozenset[int], settled: set[int],
-           trace: list[dict]) -> tuple[frozenset[int], bool]:
+           trace: array) -> tuple[frozenset[int], bool]:
     """One pass over ``order``. ``settled`` holds the ids whose last rejection
-    judged the candidate that removing them would give now; it and ``trace``
-    carry over from pass to pass."""
+    judged the candidate that removing them would give now; it and ``trace``,
+    the :class:`Trace` codes, carry over from pass to pass."""
     statements = ast.statements
     trees = ast.tree_ids
     kept = set(retained)
@@ -174,8 +230,7 @@ def _sweep(ast: TestCaseAst, oracle: Oracle, baseline: str, order: list[int],
         ok = verdict_accepted(verdict, baseline, oracle.match_policy)
         # ``_value_`` is a plain attribute; the ``value`` property would cost
         # a Python-level call per trace entry.
-        trace.append({"node": node_id, "decision": "accepted" if ok else "rejected",
-                      "verdict": verdict.status._value_})
+        trace.append(node_id * 4 + (0 if ok else _REJECTED[verdict.status._value_]))
         if ok:
             _commit(kept, within, candidate.dropped)
             if settled:
@@ -205,7 +260,7 @@ def reduce_test(ast: TestCaseAst, oracle: Oracle) -> ReductionOutcome:
     order = _sweep_order(ast)
     retained = ast.all_ids()
     settled: set[int] = set()
-    trace: list[dict] = []
+    trace = array("q")
     passes = 0
     while True:
         passes += 1
@@ -227,7 +282,7 @@ def reduce_test(ast: TestCaseAst, oracle: Oracle) -> ReductionOutcome:
         passes=passes,
         baseline_signature=baseline,
         minimal_source=render(ast, retained),
-        trace=trace,
+        trace=Trace(trace),
     )
 
 

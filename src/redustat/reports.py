@@ -13,7 +13,11 @@ produces. Written to a directory it becomes:
 - ``reductions/<name>.json``  one reduction report per ok entry, with its
   removal trace, as one line of JSON (``python -m json.tool`` pretty-prints
   it); the other JSON files are indented. Writing removes every other
-  ``reductions/*.json``, so no report outlives its entry's failure or removal
+  ``reductions/*.json``, so no report outlives its entry's failure or removal.
+  A report's ``trace`` is the reducer's read-only
+  :class:`~redustat.reducer.Trace`, 8 bytes per oracle call while the bundle
+  is held, whose items read as fresh dicts. It is written from its codes with
+  the bytes ``json.dumps`` gives its list of entries.
 
 Each file is written over in place, never cut to zero: a longer file is cut
 to the new length first, then the text goes in one write call. A process
@@ -42,6 +46,7 @@ from .metrics import (
     records_to_csv,
     summary_to_csv,
 )
+from .reducer import Trace
 from .stats import (
     AllZeroDifferencesError,
     StatsError,
@@ -282,5 +287,15 @@ def _dump_json(payload) -> str:
 
 def dump_reduction_report(report: dict) -> str:
     """One line of JSON: ``indent`` would swap in json's pure-Python encoder.
-    A fresh ``to_report`` dict holds no cycle to check for."""
-    return json.dumps(report, sort_keys=True, check_circular=False) + "\n"
+    A fresh ``to_report`` dict holds no cycle to check for. A
+    :class:`~redustat.reducer.Trace` writes its own text, with the bytes that
+    ``json.dumps`` gives its list of entries, between the sorted keys."""
+    trace = report.get("trace")
+    if not isinstance(trace, Trace):
+        return json.dumps(report, sort_keys=True, check_circular=False) + "\n"
+    head = {key: value for key, value in report.items() if key < "trace"}
+    tail = {key: value for key, value in report.items() if key > "trace"}
+    fields = [json.dumps(part, sort_keys=True, check_circular=False)[1:-1]
+              for part in (head, tail)]
+    fields.insert(1, '"trace": ' + trace.to_json())
+    return "{" + ", ".join(filter(None, fields)) + "}\n"

@@ -482,6 +482,26 @@ def test_unknown_oracle_key_is_an_entry_error(tmp_path):
                                     "unknown oracle key 'retries_typo'")
 
 
+@pytest.mark.parametrize("setting, message", [
+    ({"mode": ["scripted"]}, "unknown oracle mode ['scripted']"),
+    ({"blockers": 5}, "blockers must be a list of integers"),
+    ({"failure_sets": [0]}, "failure_sets must be a list of lists of integers"),
+    ({"mode": "command", "command_template": "true", "fail_exit_codes": 1},
+     "fail_exit_codes must be a list of integers"),
+], ids=["mode", "blockers", "failure-sets", "fail-exit-codes"])
+def test_oracle_key_of_the_wrong_type_is_an_entry_error(tmp_path, setting, message):
+    entries = [
+        entry("good", "a();\nb();\n", [[1]], tmp_path),
+        entry("bad", "c();\nd();\n", [[1]], tmp_path),
+    ]
+    entries[1]["oracle"].update(setting)
+    if "command_template" in setting:
+        del entries[1]["oracle"]["failure_sets"], entries[1]["oracle"]["blockers"]
+    bundle = run_corpus(load_corpus_config(write_corpus(tmp_path, entries)))
+    assert [s.ok for s in bundle.entry_statuses] == [True, False]
+    assert bundle.entry_statuses[1].error == f"CorpusConfigError: entry 'bad': {message}"
+
+
 def test_unknown_oracle_mode_is_an_entry_error(tmp_path):
     entries = [
         entry("good", "a();\nb();\n", [[1]], tmp_path),
@@ -510,10 +530,11 @@ def test_oracle_that_is_not_an_object_is_an_entry_error(tmp_path, spec):
 
 @pytest.mark.parametrize("setting, message", [
     ({"signature_pattern": "("}, "signature_pattern is not a regular expression"),
+    ({"signature_pattern": 5}, "signature_pattern must be a string"),
     ({"fail_exit_codes": [0, 1]}, "fail_exit_codes cannot hold 0, which means Pass"),
     ({"command_template": ""}, "command_template names no command"),
     ({"command_template": None}, "command_template must be a string"),
-], ids=["pattern", "exit-code-0", "empty-command", "null-command"])
+], ids=["pattern", "pattern-type", "exit-code-0", "empty-command", "null-command"])
 def test_oracle_that_can_never_be_honoured_is_an_entry_error(tmp_path, setting, message):
     marker = tmp_path / "oracle-ran"
     entries = [

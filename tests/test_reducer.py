@@ -2,19 +2,21 @@ import contextlib
 import functools
 import hashlib
 import io
+import itertools
 import json
 import os
 import random
 import subprocess
 import sys
 import textwrap
+import tracemalloc
 import types
 from ast import literal_eval
 from pathlib import Path
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from redustat import reducer
@@ -28,6 +30,7 @@ from redustat.model import (
 from redustat.oracle import (
     MatchPolicy,
     OracleConfig,
+    OracleVerdict,
     OriginalDoesNotFailError,
     ScriptedOracle,
     VerdictStatus,
@@ -36,6 +39,7 @@ from redustat.oracle import (
 )
 from redustat.parser import parse_test
 from redustat.reducer import _Candidate, reduce_test, verify_one_minimal
+from redustat.reports import dump_reduction_report
 
 from conftest import ancestor_closure, load_module, random_ast, token_texts
 
@@ -302,13 +306,18 @@ def start_descending(node):
     return -node.span[0]
 
 
+#: A trace code is ``node * 4 + outcome``: 0 accepted, else the rejected verdict's.
+REJECTED_OUTCOME = {VerdictStatus.FAIL: 1, VerdictStatus.PASS: 2, VerdictStatus.INVALID: 3}
+
+
 def frozenset_sweep(ast, oracle, baseline, order, retained, settled, trace,
                     tree_key=end_descending, rejected=None):
     """The reference sweep: every candidate is a new frozenset. Trees go by
     ``tree_key``, leaves by descending span start, ties by id; the reducer's
-    ``order`` is not read. ``rejected``, a dict kept for one reduction, maps
-    each rejected candidate to its verdict, and a candidate found there is not
-    sent again; without it every candidate is sent. ``settled`` is not read."""
+    ``order`` is not read. Each attempt's code goes to ``trace``.
+    ``rejected``, a dict kept for one reduction, maps each rejected candidate
+    to its verdict, and a candidate found there is not sent again; without it
+    every candidate is sent. ``settled`` is not read."""
     tree_ids = [i for i in retained if ast.statements[i].category is Category.TREE]
     leaf_ids = [i for i in retained if ast.statements[i].category is Category.NON_TREE]
     tree_ids.sort(key=lambda i: (tree_key(ast.statements[i]), i))
@@ -322,8 +331,7 @@ def frozenset_sweep(ast, oracle, baseline, order, retained, settled, trace,
             continue
         verdict = evaluate(oracle, attempt, ast)
         ok = verdict_accepted(verdict, baseline, oracle.match_policy)
-        trace.append({"node": node_id, "decision": "accepted" if ok else "rejected",
-                      "verdict": verdict.status.value})
+        trace.append(node_id * 4 + (0 if ok else REJECTED_OUTCOME[verdict.status]))
         if ok:
             retained = attempt
             changed = True
@@ -420,6 +428,63 @@ def test_view_sweep_equals_the_frozenset_sweep(shape, data):
     assert outcome.oracle_calls == expected.oracle_calls
     assert outcome.passes == expected.passes
     assert oracle.seen == expected_candidates
+
+
+class CyclingOracle:
+    """A protocol-only oracle: the unreduced test fails, then the candidates
+    get the verdicts of ``outcomes`` in turn, each named by the trace outcome
+    it makes: 0 a Fail that matches, 1 a Fail of another signature, 2 a Pass
+    and 3 an Invalid."""
+
+    match_policy = MatchPolicy.SAME_SIGNATURE
+    VERDICTS = (OracleVerdict(VerdictStatus.FAIL, "boom"),
+                OracleVerdict(VerdictStatus.FAIL, "other"),
+                OracleVerdict(VerdictStatus.PASS),
+                OracleVerdict(VerdictStatus.INVALID))
+
+    def __init__(self, outcomes):
+        self.verdicts = itertools.chain(
+            [self.VERDICTS[0]], map(self.VERDICTS.__getitem__, itertools.cycle(outcomes)))
+
+    def verdict(self, retained, ast):
+        return next(self.verdicts)
+
+
+OUTCOMES = [("accepted", "Fail"), ("rejected", "Fail"), ("rejected", "Pass"),
+            ("rejected", "Invalid")]
+
+
+@settings(max_examples=300, deadline=None)
+@given(_SHAPES, st.lists(st.integers(0, 3), min_size=1, max_size=6), st.data())
+@example([(0, False)] * 6, [0, 1, 2, 3], None)
+def test_trace_reads_and_writes_as_its_list_of_entries(shape, outcomes, data):
+    ast = forest_ast(shape)
+    report = reduce_test(ast, CyclingOracle(outcomes)).to_report()
+    trace = report["trace"]
+    entries = list(trace)
+    expected = json.dumps({**report, "trace": entries}, sort_keys=True,
+                          check_circular=False) + "\n"
+    assert dump_reduction_report(report) == expected
+    # A list trace, as tests and callers build reports, takes json's path.
+    assert dump_reduction_report({**report, "trace": entries}) == expected
+    assert [(e["decision"], e["verdict"]) for e in entries] == \
+        [OUTCOMES[o] for o in itertools.islice(itertools.cycle(outcomes), len(entries))]
+    assert {e["node"] for e in entries} <= ast.all_ids()
+    if data is None:  # the example covers every outcome
+        assert {(e["decision"], e["verdict"]) for e in entries} == set(OUTCOMES)
+        return
+    if entries:
+        index = data.draw(st.integers(-len(entries), len(entries) - 1))
+        assert trace[index] == entries[index]
+        # Each item is a fresh dict: changing it leaves the trace as it was.
+        assert trace[index] is not trace[index]
+        trace[index]["node"] = -1
+        trace[index].clear()
+        assert list(trace) == entries
+    cut = data.draw(st.slices(len(entries)))
+    assert trace[cut] == entries[cut]
+    with pytest.raises(IndexError):
+        trace[len(entries)]
 
 
 @settings(max_examples=300, deadline=None)
@@ -589,11 +654,28 @@ def test_every_other_leaf_reduction_is_pinned():
     # rejected. Without the cache it gives the earlier pins, 1 603 calls and
     # a digest starting 88b6d1a4; with inner trees first as well, 1 604 and
     # ff40c14e.
+    # The trace holds 8-byte codes: the memory that goes with it, once the
+    # rest of the outcome is gone, stays under 16 bytes per attempt. A dict
+    # per attempt held about 300 KB here.
     ast, needed = _every_other_leaf_test()
     assert (ast.total_statements, len(needed)) == (1041, 440)
-    outcome = reduce_test(ast, ScriptedOracle((needed,)))
-    assert outcome.retained == ancestor_closure(ast, needed)
-    trace = json.dumps(outcome.to_report()["trace"], sort_keys=True)
-    assert outcome.oracle_calls == 1602
-    assert hashlib.sha256(trace.encode()).hexdigest() == \
+    started = not tracemalloc.is_tracing()
+    if started:
+        tracemalloc.start()
+    try:
+        outcome = reduce_test(ast, ScriptedOracle((needed,)))
+        retained, calls, trace = outcome.retained, outcome.oracle_calls, outcome.trace
+        text = json.dumps(list(trace), sort_keys=True)
+        attempts = len(trace)
+        outcome = None
+        held = tracemalloc.get_traced_memory()[0]
+        trace = None
+        freed = held - tracemalloc.get_traced_memory()[0]
+    finally:
+        if started:
+            tracemalloc.stop()
+    assert retained == ancestor_closure(ast, needed)
+    assert calls == 1 + attempts == 1602
+    assert freed < 16 * attempts
+    assert hashlib.sha256(text.encode()).hexdigest() == \
         "097d70b919b8566bdc5fb22533b84cd875a7f7e8c39c2e8ad7bcaff2f6566613"
